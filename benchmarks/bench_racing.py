@@ -26,6 +26,10 @@ Charts the redundancy sweet-spot crossover of the policy family in
 A fourth record maps the w1 policy grid through ``SweepRunner`` at 1
 and 2 workers and asserts the rows identical (``results_identical``).
 
+Every section records the execution tier its policy runs took
+(``racing_engine`` / ``engine``): faulted races run on the greedy
+engine, fault-free ones on the dense tier.
+
 Results go to ``BENCH_racing.json`` (``--out`` to override)::
 
     PYTHONPATH=src python benchmarks/bench_racing.py --smoke
@@ -48,7 +52,7 @@ sys.path.insert(
 )
 
 from repro.core.assignment import Assignment, steal_rebalance  # noqa: E402
-from repro.core.dense import build_executor  # noqa: E402
+from repro.core.dense import DenseExecutor, build_executor  # noqa: E402
 from repro.core.overlap import simulate_overlap  # noqa: E402
 from repro.machine.host import HostArray  # noqa: E402
 from repro.machine.programs import CounterProgram  # noqa: E402
@@ -72,6 +76,11 @@ def _col_digests(res) -> dict:
     return out
 
 
+def _engines(names) -> str:
+    """The tier(s) a section's runs took, e.g. ``"dense"``."""
+    return "+".join(sorted(set(names)))
+
+
 def _point(host, steps, plan, policy):
     res = simulate_overlap(
         host, steps=steps, min_copies=2, faults=plan, policy=policy
@@ -84,6 +93,7 @@ def bench_racing(n: int, steps: int, seeds, drop_rates, smoke: bool) -> dict:
     host = HostArray.uniform(n, delay=3)
     horizon = 5 * steps
     points = []
+    engines = []
     for seed in seeds:
         for dr in drop_rates:
             plan = FaultPlan.random(
@@ -96,6 +106,7 @@ def bench_racing(n: int, steps: int, seeds, drop_rates, smoke: bool) -> dict:
             )
             base, base_lat = _point(host, steps, plan, "single")
             raced, raced_lat = _point(host, steps, plan, "racing")
+            engines.append(raced.engine)
             if _col_digests(raced) != _col_digests(base):
                 raise AssertionError(
                     f"racing diverged from single-issue (seed={seed}, "
@@ -124,6 +135,7 @@ def bench_racing(n: int, steps: int, seeds, drop_rates, smoke: bool) -> dict:
         "p99_ratio_min": min(ratios),
         "p99_ratio_mean": round(sum(ratios) / len(ratios), 2),
         "digest_identical": True,
+        "racing_engine": _engines(engines),
         "smoke": smoke,
     }
 
@@ -147,6 +159,7 @@ def bench_clean(n: int, steps: int, smoke: bool) -> dict:
         "single_makespan": bs.makespan,
         "racing_makespan": rs.makespan,
         "digest_identical": True,
+        "racing_engine": raced.engine,
         "smoke": smoke,
     }
 
@@ -167,13 +180,16 @@ def bench_stealing(n: int, steps: int, seeds, smoke: bool) -> dict:
     host = HostArray.uniform(n, delay=2)
     program = CounterProgram()
     points = []
+    engines = []
     for seed in seeds:
         asg = _skewed(n, 3, 6, max(2, n // 8), seed)
         static = build_executor("auto", host, asg, program, steps).run()
         stolen_asg, moves = steal_rebalance(asg, host, seed=0)
-        stolen = build_executor(
-            "auto", host, stolen_asg, program, steps
-        ).run()
+        executor = build_executor("auto", host, stolen_asg, program, steps)
+        engines.append(
+            "dense" if isinstance(executor, DenseExecutor) else "greedy"
+        )
+        stolen = executor.run()
         if _col_digests_exec(stolen) != _col_digests_exec(static):
             raise AssertionError(f"stealing diverged (seed={seed})")
         points.append(
@@ -199,6 +215,7 @@ def bench_stealing(n: int, steps: int, seeds, smoke: bool) -> dict:
         "speedup_min": min(speedups),
         "speedup_mean": round(sum(speedups) / len(speedups), 2),
         "digest_identical": True,
+        "engine": _engines(engines),
         "smoke": smoke,
     }
 
@@ -235,6 +252,9 @@ def bench_workers(smoke: bool) -> dict:
         "grid": len(configs),
         "workers": 2,
         "results_identical": pooled == serial,
+        "racing_engine": _engines(
+            row["engine"] for row in serial if "racing" in row["policy"]
+        ),
         "smoke": smoke,
     }
 
@@ -271,7 +291,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"[bench_racing] clean ground: racing costs "
         f"{clean['message_ratio']}x messages for p99 "
-        f"{clean['single_p99']} -> {clean['racing_p99']}"
+        f"{clean['single_p99']} -> {clean['racing_p99']} "
+        f"({clean['racing_engine']} tier)"
     )
     stealing = bench_stealing(n, steps, steal_seeds, args.smoke)
     print(

@@ -47,8 +47,9 @@ does; see the ``bench-smoke`` job).  Checks, in order:
    single-issue on grid average over the high-jitter/high-drop grid
    (never worse on any point), work stealing never worse than the
    static assignment on every skewed seed, value digests identical on
-   both grids, and the policy sweep rows identical across worker
-   counts.  The ratio gates apply smoke or not — both sides of each
+   both grids, the policy sweep rows identical across worker
+   counts, and the fault-free (clean) races run on the dense tier.
+   The ratio gates apply smoke or not — both sides of each
    comparison shrink together.
 9. **differential tests** — the dense-vs-greedy bit-identical suites
    (``tests/test_dense.py`` fault-free, ``tests/test_dense_faults.py``
@@ -339,6 +340,13 @@ def check_racing(payload: dict) -> bool:
             f"{clean.get('message_ratio')}x messages on clean links "
             "(informational)"
         )
+        # Fault-free racing must stay on the fast tier; a silent
+        # fallback to the greedy engine would only show up as time.
+        if clean.get("racing_engine") != "dense":
+            failed = _fail(
+                f"fault-free racing ran on the "
+                f"{clean.get('racing_engine')!r} tier, not 'dense'"
+            )
     stealing = sections.get("stealing")
     if not stealing:
         failed = _fail(

@@ -93,7 +93,8 @@ class ExecutorCheckpoint:
     #: [[link, direction, n]] — one-shot drops consumed before ``time``.
     drops_consumed: list = field(default_factory=list)
     #: Fault/recovery SimStats counters at capture time
-    #: (crashed_nodes, recoveries, columns_lost).
+    #: (crashed_nodes, recoveries, columns_lost), or the racing
+    #: counters of a raced run (cancelled, raced_wins, raced_losses).
     counters: dict = field(default_factory=dict)
     #: MetricsTimeline snapshot at capture time (only when the capturing
     #: run had a timeline attached); restoring *with* telemetry
@@ -104,6 +105,9 @@ class ExecutorCheckpoint:
     #: latency prefix a resume must inherit.  None on legacy snapshots,
     #: which a resume rejects as ``DeltaUnsupported``.
     step_done: list | None = None
+    #: Issue fanout of the capturing run (1 = single issue, above 1 =
+    #: raced subscriptions); a restore requires the same fanout.
+    fanout: int = 1
 
     def summary(self) -> dict:
         """Headline numbers (JSON-ready; arrays omitted)."""
@@ -168,6 +172,7 @@ class ExecutorCheckpoint:
             "step_done": (
                 None if self.step_done is None else list(self.step_done)
             ),
+            "fanout": self.fanout,
         }
 
     @classmethod
@@ -214,4 +219,5 @@ class ExecutorCheckpoint:
             counters=dict(blob.get("counters", {})),
             telemetry=blob.get("telemetry"),
             step_done=blob.get("step_done"),
+            fanout=blob.get("fanout", 1),
         )

@@ -36,6 +36,14 @@ is a pure function of ``(host, assignment, steps, bandwidth)``:
   whole-stream sends to ``>= _VEC_MIN_SUBS`` subscribers assign their
   link slots in closed form (injection ``j`` lands in slot
   ``slot0 + (used0 + j) // bw``) instead of iterating the slot rule.
+* **racing without values.**  Fault-free redundant-issue racing
+  (``fanout > 1``) is value-independent too: link slots follow
+  injection order and a cancellation only reads the subscriber's
+  watermark.  Streams of raced columns live in their own table and
+  carry their own message kind, so the single-issue branches above run
+  unchanged; the raced branch cancels at the source and at every relay
+  hop once the subscriber is past the pebble, and delivers first-wins
+  (an in-order copy wins, a duplicate loses).
 
 Because the skeleton replays the exact event order, the result is
 **bit-identical** to the greedy engine: same makespan, same per-replica
@@ -53,8 +61,9 @@ guests (relabelled via ``dep_map``/``col_label``), and graph hosts
 after embedding.  Faulted runs take the segmented
 :class:`~repro.core.dense_faults.FaultedDenseExecutor` subclass (dense
 between fault boundaries, scalar handling only at fault/recovery
-events); only tracing, multicast streams and scheduling jitter
-(``tie_seed``) still take the greedy engine.  :func:`resolve_engine`
+events); only tracing, multicast streams, scheduling jitter
+(``tie_seed``) and racing under a non-empty fault plan still take the
+greedy engine.  :func:`resolve_engine`
 encodes that selection rule for the ``engine="auto"`` front-ends.
 Telemetry is the one observability feature both tiers support: an
 attached :class:`~repro.telemetry.timeline.MetricsTimeline` is fed from
@@ -91,6 +100,7 @@ _VEC_MIN_SUBS = 16
 # Bucket-event kinds.
 _DONE = 0
 _MSG = 1
+_RMSG = 2  # a raced copy: (_RMSG, pos, dst, c, t, watermark slot, source)
 
 
 def resolve_engine(
@@ -119,11 +129,13 @@ def resolve_engine(
     :class:`~repro.core.dense_faults.FaultedDenseExecutor` tier (dense
     between fault boundaries, bit-identical to greedy), and
     ``forced_dead`` only shapes the assignment, which both tiers
-    consume as-is.  The remaining fallback reasons are tracing,
-    multicast streams, scheduling jitter (``tie_seed``) and
-    redundant-issue racing (``exec_policy``): raced subscriptions make
-    delivery order value-dependent on which replica wins, which the
-    dense skeleton's single-stream watermarks cannot express.  The
+    consume as-is.  Nor is fault-free redundant-issue racing: its
+    schedule never reads a pebble value (link slots follow injection
+    order, a cancellation reads only the subscriber's watermark), so
+    :class:`DenseExecutor` runs it bit-identically.  The remaining
+    fallback reasons are tracing, multicast streams, scheduling jitter
+    (``tie_seed``) and racing under a non-empty fault plan, whose
+    retries and re-subscriptions only the greedy engine races.  The
     *stealing* half of an :class:`~repro.core.racing.ExecPolicy` never
     forces greedy — it is a pre-execution assignment rebalance both
     tiers consume as-is.
@@ -132,7 +144,7 @@ def resolve_engine(
         raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
     if engine == "greedy":
         return "greedy"
-    del faults, policy, forced_dead  # dense-capable since tier 3
+    del policy, forced_dead  # dense-capable since tier 3
     reasons = []
     if trace is not None:
         reasons.append("tracing")
@@ -140,12 +152,11 @@ def resolve_engine(
         reasons.append("multicast streams")
     if tie_seed is not None:
         reasons.append("scheduling jitter")
-    if exec_policy is not None:
+    if exec_policy is not None and faults is not None and not faults.is_empty:
         from repro.core.racing import resolve_policy
 
-        resolved = resolve_policy(exec_policy)
-        if resolved.racing and resolved.fanout > 1:
-            reasons.append("redundant-issue racing")
+        if resolve_policy(exec_policy).issue_fanout > 1:
+            reasons.append("redundant-issue racing under a fault plan")
     if not reasons:
         return "dense"
     if engine == "dense":
@@ -162,7 +173,10 @@ class DenseExecutor:
     Construction mirrors :class:`~repro.core.executor.GreedyExecutor`
     for the supported subset — including ``dep_map``/``col_label``
     relabelled guests — and :meth:`run` returns the same
-    :class:`~repro.core.executor.ExecResult`.
+    :class:`~repro.core.executor.ExecResult`.  ``fanout`` is the
+    resolved :attr:`~repro.core.racing.ExecPolicy.issue_fanout`: above
+    1, every external column with several owners subscribes to its
+    ``fanout`` nearest and the copies race.
     """
 
     __slots__ = (
@@ -174,6 +188,8 @@ class DenseExecutor:
         "m",
         "used",
         "subscribers",
+        "fanout",
+        "_raced_cols",
         "telemetry",
         "dep_map",
         "col_label",
@@ -203,6 +219,7 @@ class DenseExecutor:
         col_label=None,
         telemetry=None,
         checkpoint_stride: int | None = None,
+        fanout: int = 1,
     ) -> None:
         if assignment.n != host.n:
             raise ValueError(
@@ -224,6 +241,9 @@ class DenseExecutor:
         self.dep_map = dep_map
         self.col_label = col_label or (lambda c: c)
         self._relabelled = dep_map is not None or col_label is not None
+        if fanout < 1:
+            raise ValueError(f"fanout must be >= 1, got {fanout}")
+        self.fanout = fanout
         if dep_map is not None:
             for c in range(1, self.m + 1):
                 if c not in dep_map:
@@ -278,6 +298,15 @@ class DenseExecutor:
                 f"cannot restore a {checkpoint.kind!r} checkpoint into "
                 f"{type(self).__name__} (expects {expected!r})"
             )
+        if checkpoint.fanout != self.fanout:
+            # Single-issue and raced runs subscribe (and queue events)
+            # differently: neither prefix is valid for the other.
+            from repro.delta import DeltaUnsupported
+
+            raise DeltaUnsupported(
+                f"cannot restore a fanout={checkpoint.fanout} checkpoint "
+                f"into a fanout={self.fanout} run"
+            )
         if checkpoint.steps < 1:
             raise ValueError("checkpoint predates resume support (steps=0)")
         if checkpoint.steps > self.T:
@@ -306,12 +335,16 @@ class DenseExecutor:
 
     def _build_subscriptions(self) -> None:
         """Same nearest-owner subscription rule (and list order) as
-        ``GreedyExecutor._build_state``."""
+        ``GreedyExecutor._build_state``, racing included: with
+        ``fanout > 1`` a column with several owners is *raced* — each
+        subscriber takes its ``fanout`` nearest."""
         m = self.m
         host = self.host
         owners = self.assignment.owners()
+        fanout = self.fanout
         subscribers: dict[tuple[int, int], list[int]] = {}
         ext_cols: dict[int, list[int]] = {}
+        raced_cols: set[int] = set()
         for p in self.used:
             lo, hi = self.assignment.ranges[p]
             needed = sorted(
@@ -325,13 +358,17 @@ class DenseExecutor:
             ext_cols[p] = needed
             for c in needed:
                 candidates = owners[c]
-                q = min(
-                    candidates,
-                    key=lambda q: (host.distance(p, q), abs(q - p), q),
-                )
-                subscribers.setdefault((q, c), []).append(p)
+                key = lambda q: (host.distance(p, q), abs(q - p), q)  # noqa: E731
+                if fanout > 1 and len(candidates) > 1:
+                    raced_cols.add(c)
+                    near = sorted(candidates, key=key)[:fanout]
+                else:
+                    near = (min(candidates, key=key),)
+                for q in near:
+                    subscribers.setdefault((q, c), []).append(p)
         self.subscribers = subscribers
         self._ext_cols = ext_cols
+        self._raced_cols = raced_cols
 
     # -- values (computed once, vectorised) -----------------------------
     def _guest_values(self):
@@ -537,6 +574,7 @@ class DenseExecutor:
             remaining += k * T
 
         if T == 0 or remaining == 0:
+            self._racing_extras(stats, 0, 0, 0)
             return 0
 
         # Directed-link occupancy: the LinkPipe slot rule as three flat
@@ -549,8 +587,20 @@ class DenseExecutor:
         l_used = [0] * n_links
         injections = 0
 
-        subscribers = {k_: tuple(v) for k_, v in self.subscribers.items()}
+        # Streams of raced columns get their own table (each subscriber
+        # with its watermark slot), so single-issue streams run exactly
+        # the branches below that they always ran.
+        raced_cols = self._raced_cols
+        subscribers = {
+            k_: tuple(v)
+            for k_, v in self.subscribers.items()
+            if k_[1] not in raced_cols
+        }
         subscribers_get = subscribers.get
+        raced_streams = self._raced_streams(ext_idx)
+        raced_get = raced_streams.get
+        racing = bool(raced_streams)
+        n_cancelled = n_wins = n_losses = 0
 
         # Time-bucketed event lists.  Every push is strictly in the
         # future (computes finish at now+1, link delays are >= 1), so a
@@ -639,6 +689,31 @@ class DenseExecutor:
             buckets[arr].append((_DONE, p, best_i, best_t))
             pending_events += 1
 
+        def race_hop(pos, dst, c, t, wi, src, now, bw=bw, delays=delays):
+            """Inject one raced copy on the link from ``pos`` toward
+            ``dst`` (the LinkPipe slot rule) and queue its arrival.
+            ``bw``/``delays`` are bound as defaults, not closed over, so
+            the hot loop keeps reading them as plain locals."""
+            nonlocal injections, pending_events
+            if dst > pos:
+                j, slots, useds, nxt = pos, r_slot, r_used, pos + 1
+            else:
+                j, slots, useds, nxt = pos - 1, l_slot, l_used, pos - 1
+            slot, used_ = slots[j], useds[j]
+            if now > slot:
+                slot, used_ = now, 1
+            elif used_ < bw:
+                used_ += 1
+            else:
+                slot, used_ = slot + 1, 1
+            slots[j], useds[j] = slot, used_
+            injections += 1
+            arr = slot + delays[j]
+            if arr >= len(buckets):
+                buckets.extend([] for _ in range(arr - len(buckets) + 1))
+            buckets[arr].append((_RMSG, nxt, dst, c, t, wi, src))
+            pending_events += 1
+
         ck = self._resume_from
         first_top: int | None = None
         if ck is None:
@@ -667,6 +742,9 @@ class DenseExecutor:
             n_messages = ck.messages
             makespan = ck.makespan
             first_top = ck.first_top
+            n_cancelled = ck.counters.get("cancelled", 0)
+            n_wins = ck.counters.get("raced_wins", 0)
+            n_losses = ck.counters.get("raced_losses", 0)
             if ck.step_done is None:
                 # A pre-step-latency checkpoint cannot finish
                 # bit-identically (the resumed run's distribution would
@@ -708,6 +786,7 @@ class DenseExecutor:
                     at,
                     base_snapshot=None if ck is None else ck.telemetry,
                     start=0 if ck is None else ck.time,
+                    watermarks=None if ck is None else ck.watermarks,
                 )
             self.checkpoints.append(
                 ExecutorCheckpoint(
@@ -735,6 +814,16 @@ class DenseExecutor:
                     events=events,
                     telemetry=tl_snap,
                     step_done=list(step_done),
+                    counters=(
+                        {
+                            "cancelled": n_cancelled,
+                            "raced_wins": n_wins,
+                            "raced_losses": n_losses,
+                        }
+                        if self.fanout > 1
+                        else {}
+                    ),
+                    fanout=self.fanout,
                 )
             )
 
@@ -879,7 +968,42 @@ class DenseExecutor:
                                     top = len(buckets)
                                 buckets[arr].append(item)
                             pending_events += len(subs)
+                    elif racing:
+                        rsubs = raced_get((p, c))
+                        if rsubs:
+                            for dst, wi in rsubs:
+                                if W_of[dst][wi] >= t:
+                                    # The race for (c, t) is over: cancel
+                                    # at the source, using no link slot.
+                                    n_cancelled += 1
+                                else:
+                                    n_messages += 1
+                                    race_hop(p, dst, c, t, wi, p, now)
                     try_start(p, now)
+                elif racing and ev[0] == _RMSG:
+                    # A raced copy: the first in-order one wins, later
+                    # duplicates lose.
+                    _, pos, dst, c, t, wi, src = ev
+                    w = W_of[dst]
+                    if pos == dst:
+                        have = w[wi]
+                        if t == have + 1:
+                            w[wi] = t
+                            n_wins += 1
+                            try_start(pos, now)
+                        elif t <= have:
+                            n_losses += 1
+                        else:  # pragma: no cover - invariant guard
+                            raise AssertionError(
+                                f"out-of-order delivery of ({c},{t}) at "
+                                f"{pos}: have {have}"
+                            )
+                    elif w[wi] >= t:
+                        # Cancelled in flight: the subscriber is past
+                        # this pebble, stop relaying it.
+                        n_cancelled += 1
+                    else:
+                        race_hop(pos, dst, c, t, wi, src, now)
                 else:  # _MSG
                     _, pos, dst, c, t = ev
                     if pos == dst:
@@ -936,14 +1060,36 @@ class DenseExecutor:
         stats.messages = n_messages
         stats.pebble_hops = injections
         stats.record_step_latency(latencies_from_completions(step_done))
+        self._racing_extras(stats, n_cancelled, n_wins, n_losses)
         if self.telemetry is not None:
             self._feed_telemetry(
                 buckets,
                 makespan,
                 start=0 if ck is None else ck.time,
                 snapshot=None if ck is None else ck.telemetry,
+                watermarks=None if ck is None else ck.watermarks,
             )
         return makespan
+
+    def _raced_streams(self, ext_idx: list) -> dict:
+        """``(provider, column) -> ((subscriber, watermark slot), ...)``
+        for every stream of a raced column, in subscription order."""
+        raced_cols = self._raced_cols
+        return {
+            (q, c): tuple((d, ext_idx[d][c]) for d in subs)
+            for (q, c), subs in self.subscribers.items()
+            if c in raced_cols
+        }
+
+    def _racing_extras(
+        self, stats: SimStats, cancelled: int, wins: int, losses: int
+    ) -> None:
+        """The racing counters, under the greedy engine's extras keys
+        (raced runs only)."""
+        if self.fanout > 1:
+            stats.extras["cancelled_messages"] = cancelled
+            stats.extras["raced_wins"] = wins
+            stats.extras["raced_losses"] = losses
 
     def _feed_telemetry(
         self,
@@ -951,6 +1097,7 @@ class DenseExecutor:
         makespan: int,
         start: int = 0,
         snapshot: dict | None = None,
+        watermarks: dict | None = None,
     ) -> None:
         """Replay the retained event buckets into the attached timeline.
 
@@ -958,7 +1105,8 @@ class DenseExecutor:
         still hold the complete event history).  On a resumed run the
         prefix history comes from the checkpoint's timeline
         ``snapshot`` and only buckets from ``start`` on are replayed
-        (buckets before the resume point are empty in that run).
+        (buckets before the resume point are empty in that run); the
+        race replay then starts from the checkpoint's ``watermarks``.
         """
         tl = self.telemetry
         if snapshot is not None:
@@ -966,7 +1114,7 @@ class DenseExecutor:
         tl.meta.setdefault("engine", "dense")
         if snapshot is None:
             tl.spans.begin("epoch", 0, track="epochs", epoch=0)
-        self._replay_buckets(tl, buckets, start)
+        self._replay_buckets(tl, buckets, start, watermarks=watermarks)
         tl.spans.close_all(makespan)
 
     def _replay_buckets(
@@ -975,42 +1123,69 @@ class DenseExecutor:
         buckets: list[list[tuple]],
         start: int = 0,
         stop: int | None = None,
+        watermarks: dict | None = None,
     ) -> None:
         """Feed bucket events in ``[start, stop)`` into timeline ``tl``.
 
         Produces exactly the per-step counters the instrumented greedy
         loop records: a ``_DONE`` at step ``now`` is one pebble
         completion (and one message launch per subscriber of that
-        column); a ``_MSG`` at step ``now`` is one link arrival whose
-        injection slot was ``now - delay`` of the link it arrived on
-        (dense computes arrivals as ``slot + delay``, so the
-        subtraction is exact).
+        column); a ``_MSG``/``_RMSG`` at step ``now`` is one link
+        arrival whose injection slot was ``now - delay`` of the link it
+        arrived on (dense computes arrivals as ``slot + delay``, so the
+        subtraction is exact).  Raced copies replay the race itself:
+        whether a copy is cancelled (at the source or a relay hop) or
+        delivered as the winner depends only on its raced slot's
+        watermark, tracked here from 0 — or from the resume
+        checkpoint's ``watermarks``.
         """
         delays = self.host.link_delays
         subscribers_get = self.subscribers.get
+        raced_cols = self._raced_cols
         # A _MSG event carries its final target, not its travel
         # direction: when it *reaches* the target the arriving link is
         # recovered from which side the providing owner sits on.
         provider_of: dict[tuple[int, int], int] = {}
         for (q, c), subs in self.subscribers.items():
-            for p in subs:
-                provider_of[(p, c)] = q
-        lo_of = {p: self.assignment.ranges[p][0] for p in self.used}
+            if c not in raced_cols:
+                for p in subs:
+                    provider_of[(p, c)] = q
+        race_w: dict[tuple[int, int], int] = {}
+        lo_of = {}
+        for p in self.used:
+            lo, hi = self.assignment.ranges[p]
+            lo_of[p] = lo
+            for j, c in enumerate(self._ext_cols[p]):
+                if c in raced_cols:
+                    race_w[(p, c)] = (
+                        0 if watermarks is None
+                        else watermarks[p][hi - lo + 1 + j]
+                    )
         pebble = tl.pebble
         send = tl.send
         message = tl.message
         deliver = tl.deliver
-        hi = len(buckets) if stop is None else min(stop, len(buckets))
-        for now in range(start, hi):
+        cancel = tl.cancel
+        stop = len(buckets) if stop is None else min(stop, len(buckets))
+        for now in range(start, stop):
             for ev in buckets[now]:
-                if ev[0] == _DONE:
+                kind = ev[0]
+                if kind == _DONE:
                     _, p, i, t = ev
                     c = lo_of[p] + i
                     pebble(now, p, c, t)
                     subs = subscribers_get((p, c))
-                    if subs:
+                    if not subs:
+                        continue
+                    if c in raced_cols:
+                        gone = sum(race_w[(d, c)] >= t for d in subs)
+                        if gone:
+                            cancel(now, gone)
+                        if gone < len(subs):
+                            message(now, len(subs) - gone)
+                    else:
                         message(now, len(subs))
-                else:
+                elif kind == _MSG:
                     _, pos, dst, c, t = ev
                     if pos == dst:
                         rightward = pos > provider_of[(pos, c)]
@@ -1019,6 +1194,16 @@ class DenseExecutor:
                         rightward = dst > pos
                     j = pos - 1 if rightward else pos
                     send(now - delays[j], now)
+                else:  # _RMSG: copies travel straight from src to dst
+                    _, pos, dst, c, t, _wi, src = ev
+                    send(now - delays[pos - 1 if pos > src else pos], now)
+                    have = race_w[(dst, c)]
+                    if pos == dst:
+                        if t == have + 1:
+                            race_w[(dst, c)] = t
+                            deliver(now)
+                    elif have >= t:
+                        cancel(now)
 
     def _telemetry_prefix(
         self,
@@ -1026,13 +1211,14 @@ class DenseExecutor:
         stop: int,
         base_snapshot: dict | None = None,
         start: int = 0,
+        watermarks: dict | None = None,
     ) -> dict:
         """Timeline snapshot of the run's history strictly before
         ``stop`` (checkpoint capture helper).
 
         For a resumed run the history before this run's own buckets is
         the ``base_snapshot`` it was restored from; ``start`` is its
-        resume point.
+        resume point and ``watermarks`` the restored watermark arrays.
         """
         from repro.telemetry.timeline import MetricsTimeline
 
@@ -1042,7 +1228,7 @@ class DenseExecutor:
         else:
             tmp.spans.begin("epoch", 0, track="epochs", epoch=0)
         tmp.meta.setdefault("engine", "dense")
-        self._replay_buckets(tmp, buckets, start, stop)
+        self._replay_buckets(tmp, buckets, start, stop, watermarks)
         return tmp.snapshot()
 
     def run(self):
@@ -1088,14 +1274,16 @@ def build_executor(
     """Resolve the tier and construct the matching executor.
 
     ``greedy_kwargs`` are the feature knobs (``faults``, ``policy``,
-    ``trace``, ...).  Tracing, multicast and ``tie_seed`` force (or,
-    under ``engine='auto'``, silently select) the greedy engine.
-    ``telemetry``, ``dep_map``/``col_label`` and fault plans do not:
-    both tiers support an attached
-    :class:`~repro.telemetry.timeline.MetricsTimeline` and relabelled
-    (ring) guests, and a non-empty ``faults`` plan on the dense tier
-    constructs the segmented
-    :class:`~repro.core.dense_faults.FaultedDenseExecutor`.
+    ``trace``, ``exec_policy``, ...).  Tracing, multicast, ``tie_seed``
+    and racing under a non-empty fault plan force (or, under
+    ``engine='auto'``, silently select) the greedy engine.
+    ``telemetry``, ``dep_map``/``col_label``, fault plans and fault-free
+    racing do not: both tiers support an attached
+    :class:`~repro.telemetry.timeline.MetricsTimeline`, relabelled
+    (ring) guests and raced subscriptions (the ``exec_policy``'s
+    :attr:`~repro.core.racing.ExecPolicy.issue_fanout`), and a
+    non-empty ``faults`` plan on the dense tier constructs the
+    segmented :class:`~repro.core.dense_faults.FaultedDenseExecutor`.
     """
     from repro.core.executor import GreedyExecutor
 
@@ -1110,7 +1298,10 @@ def build_executor(
         exec_policy=greedy_kwargs.get("exec_policy"),
     )
     if resolved == "dense":
-        greedy_kwargs.pop("exec_policy", None)  # stealing already applied
+        from repro.core.racing import resolve_policy
+
+        # Stealing is already applied; only the racing fanout is left.
+        exec_policy = resolve_policy(greedy_kwargs.pop("exec_policy", None))
         faults = greedy_kwargs.get("faults")
         if faults is not None and not faults.is_empty:
             from repro.core.dense_faults import FaultedDenseExecutor
@@ -1137,6 +1328,7 @@ def build_executor(
             dep_map=greedy_kwargs.get("dep_map"),
             col_label=greedy_kwargs.get("col_label"),
             telemetry=greedy_kwargs.get("telemetry"),
+            fanout=exec_policy.issue_fanout,
         )
     greedy_kwargs.pop("forced_dead", None)
     return GreedyExecutor(

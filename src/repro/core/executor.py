@@ -240,7 +240,7 @@ class GreedyExecutor:
         self.telemetry = telemetry
         self.multicast = multicast
         self.exec_policy = resolve_policy(exec_policy)
-        self._racing = self.exec_policy.racing and self.exec_policy.fanout > 1
+        self._racing = self.exec_policy.issue_fanout > 1
         if self._racing and multicast:
             raise ValueError(
                 "racing and multicast are mutually exclusive: a multicast "
@@ -323,7 +323,7 @@ class GreedyExecutor:
         owners = self.assignment.owners()
         label = self.col_label
         self._raced = set()
-        fanout = self.exec_policy.fanout if self._racing else 1
+        fanout = self.exec_policy.issue_fanout
         for p in self.used:
             lo, hi = self.assignment.ranges[p]
             self.own_range[p] = (lo, hi)
@@ -715,7 +715,9 @@ class GreedyExecutor:
         return self._finish(stats, makespan)
 
     def _run_racing(self) -> ExecResult:
-        """Fault-free redundant-issue loop (``exec_policy`` races).
+        """Fault-free redundant-issue loop (``exec_policy`` races) — the
+        oracle for :class:`~repro.core.dense.DenseExecutor`'s raced
+        branch, which ``engine="auto"`` selects for these runs.
 
         Each raced external column has up to ``fanout`` provider
         streams; every delivery is tolerant first-wins:

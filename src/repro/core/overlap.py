@@ -203,9 +203,11 @@ def simulate_overlap(
         :class:`~repro.core.racing.ExecPolicy`.  ``racing`` subscribes
         each needed external column to its ``fanout`` nearest owners
         and takes the first consistent delivery (losers are cancelled
-        down to the link level); ``stealing`` rebalances the assignment
-        with :func:`~repro.core.assignment.steal_rebalance` before the
-        run.  For backward compatibility a
+        down to the link level) — on the dense tier when fault-free, on
+        the greedy engine under a fault plan; ``stealing`` rebalances
+        the assignment with
+        :func:`~repro.core.assignment.steal_rebalance` before the run.
+        For backward compatibility a
         :class:`~repro.netsim.faults.RecoveryPolicy` instance is
         accepted here and treated as ``recovery=``.
     recovery:
@@ -221,8 +223,9 @@ def simulate_overlap(
         the fault-free fast path, or the segmented
         :class:`~repro.core.dense_faults.FaultedDenseExecutor` when a
         non-empty fault plan is scripted — and falls back to the greedy
-        event-driven engine only for tracing, multicast or ``tie_seed``
-        runs; ``"dense"`` / ``"greedy"`` force a tier (``"dense"``
+        event-driven engine only for tracing, multicast, ``tie_seed``
+        or racing under a non-empty fault plan (fault-free racing runs
+        densely); ``"dense"`` / ``"greedy"`` force a tier (``"dense"``
         raises if the config needs greedy-only machinery).  Both tiers
         produce bit-identical results on any config ``auto`` would run
         densely, fault plans included.
@@ -304,6 +307,7 @@ def simulate_overlap(
                 bandwidth,
                 telemetry=telemetry,
                 checkpoint_stride=checkpoint_stride,
+                fanout=exec_policy.issue_fanout,
             )
         if resume_from is not None:
             executor.restore(resume_from)

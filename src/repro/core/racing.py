@@ -12,9 +12,11 @@ Redundancy" and "A new analysis of Work Stealing with latency"
   answer wins (advances the watermark) and the losers are cancelled —
   at the source when the subscriber is already past the pebble, and at
   every relay hop otherwise, so abandoned messages stop consuming link
-  slots (:class:`~repro.core.executor.GreedyExecutor` implements the
-  raced loops; racing forces the greedy tier via
-  :func:`repro.core.dense.resolve_engine`).
+  slots.  Fault-free races run on the dense tier
+  (:class:`~repro.core.dense.DenseExecutor`, bit-identical to the
+  :class:`~repro.core.executor.GreedyExecutor` oracle); racing under a
+  non-empty fault plan takes the greedy engine
+  (:func:`repro.core.dense.resolve_engine`).
 * **stealing** — a deterministic, seeded pre-execution rebalance of
   the assignment: idle/underloaded hosts steal queued guest columns
   from overloaded or jitter-degraded neighbours
@@ -79,6 +81,12 @@ class ExecPolicy:
         if self.stealing:
             parts.append("stealing")
         return "+".join(parts) or "single"
+
+    @property
+    def issue_fanout(self) -> int:
+        """Owners each replicated external column subscribes to: the
+        racing ``fanout``, or 1 for single issue."""
+        return self.fanout if self.racing else 1
 
     @property
     def is_single(self) -> bool:

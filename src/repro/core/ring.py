@@ -116,7 +116,8 @@ def simulate_ring(
     rejected on ring guests — recovery reassignment assumes the
     standard array dependency structure.  ``policy`` names the
     execution policy (see :data:`~repro.core.racing.POLICIES`:
-    ``racing`` races replicated columns on the greedy engine,
+    ``racing`` races replicated columns — on the dense tier when
+    fault-free, on the greedy engine under a fault plan — and
     ``stealing`` rebalances the assignment first; a
     :class:`~repro.netsim.faults.RecoveryPolicy` passed here keeps its
     historical ``recovery=`` meaning).  ``telemetry`` (a

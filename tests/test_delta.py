@@ -31,6 +31,7 @@ import pytest
 
 from repro.core.checkpoint import ExecutorCheckpoint
 from repro.core.overlap import simulate_overlap
+from repro.core.racing import ExecPolicy
 from repro.delta import (
     DeltaUnsupported,
     cosmetic_rule,
@@ -105,6 +106,64 @@ def test_dense_restore_every_checkpoint_bit_identical():
         assert _stats(res) == _stats(base), f"stats diverge from t={ck.time}"
         assert res.exec_result.value_digests == base.exec_result.value_digests
         assert _tl_dict(tl2) == _tl_dict(tl), f"telemetry diverges from t={ck.time}"
+
+
+def test_raced_restore_every_checkpoint_bit_identical():
+    host = HostArray.uniform(24, delay=3)
+    tl = MetricsTimeline()
+    base = simulate_overlap(
+        host,
+        steps=8,
+        min_copies=2,
+        policy="racing",
+        telemetry=tl,
+        checkpoint_stride=4,
+    )
+    assert base.engine == "dense"
+    assert len(base.checkpoints) > 2, "stride produced too few checkpoints"
+    extras = base.exec_result.stats.extras
+    assert extras["raced_losses"] > 0 and extras["cancelled_messages"] > 0
+    last = base.checkpoints[-1]
+    assert last.fanout == 2
+    assert set(last.counters) == {"cancelled", "raced_wins", "raced_losses"}
+    for ck in base.checkpoints:
+        tl2 = MetricsTimeline()
+        res = simulate_overlap(
+            host,
+            steps=8,
+            min_copies=2,
+            policy="racing",
+            telemetry=tl2,
+            resume_from=_roundtrip(ck),
+        )
+        assert _stats(res) == _stats(base), f"stats diverge from t={ck.time}"
+        assert res.exec_result.value_digests == base.exec_result.value_digests
+        assert _tl_dict(tl2) == _tl_dict(tl), f"telemetry diverges from t={ck.time}"
+
+
+def test_checkpoint_fanout_mismatch_rejected():
+    host = HostArray.uniform(16, delay=2)
+    raced, single = (
+        simulate_overlap(
+            host, steps=8, min_copies=2, policy=policy, checkpoint_stride=8
+        ).checkpoints[0]
+        for policy in ("racing", "single")
+    )
+    assert (raced.fanout, single.fanout) == (2, 1)
+    with pytest.raises(DeltaUnsupported, match="fanout"):
+        simulate_overlap(host, steps=8, min_copies=2, resume_from=raced)
+    with pytest.raises(DeltaUnsupported, match="fanout"):
+        simulate_overlap(
+            host, steps=8, min_copies=2, policy="racing", resume_from=single
+        )
+    with pytest.raises(DeltaUnsupported, match="fanout"):
+        simulate_overlap(
+            host,
+            steps=8,
+            min_copies=2,
+            policy=ExecPolicy(racing=True, fanout=3),
+            resume_from=raced,
+        )
 
 
 def test_faulted_restore_every_checkpoint_bit_identical():

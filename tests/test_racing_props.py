@@ -2,7 +2,9 @@
 deterministic functions of their seeds — repeated runs over a grid of
 seeded jitter plans produce bit-identical winner selections, digests
 and stats — and both stay digest-identical to the single-issue ground
-truth on every drawn plan.
+truth on every drawn plan.  Fault-free races on random hosts, sizes,
+fanouts and bandwidths run bit-identically on the dense tier and the
+greedy oracle.
 
 These live apart from ``tests/test_racing.py`` because the CI
 bench-smoke job runs that file without hypothesis installed (its
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.assignment import steal_rebalance
 from repro.core.overlap import simulate_overlap
+from repro.core.racing import ExecPolicy
 from repro.machine.host import HostArray
 from repro.netsim.faults import FaultPlan
 from repro.telemetry import MetricsTimeline
@@ -114,3 +117,45 @@ def test_steal_rebalance_seeded_determinism(n, plan_seed, steal_seed):
     assert moves1 == moves2 and out1.ranges == out2.ranges
     out1.validate()
     assert sorted(out1.owners()) == sorted(asg.owners())
+
+
+@st.composite
+def raced_run(draw):
+    n = draw(st.integers(min_value=8, max_value=40))
+    delays = draw(
+        st.lists(st.integers(min_value=1, max_value=9), min_size=n - 1,
+                 max_size=n - 1)
+    )
+    fanout = draw(st.integers(min_value=2, max_value=4))
+    policy = ExecPolicy(
+        racing=True,
+        stealing=draw(st.booleans()),
+        fanout=fanout,
+        steal_seed=draw(st.integers(min_value=0, max_value=99)),
+    )
+    kwargs = {
+        "steps": draw(st.integers(min_value=1, max_value=10)),
+        "min_copies": draw(st.integers(min_value=1, max_value=fanout + 1)),
+        "bandwidth": draw(st.sampled_from([None, 1, 2, 3])),
+        "block": draw(st.integers(min_value=1, max_value=2)),
+        "policy": policy,
+    }
+    return HostArray(delays), kwargs
+
+
+@given(raced_run())
+@settings(max_examples=40, deadline=None)
+def test_dense_racing_bit_identical_to_greedy(run):
+    host, kwargs = run
+    prints = {}
+    for engine in ("greedy", "dense"):
+        tl = MetricsTimeline()
+        res = simulate_overlap(host, engine=engine, telemetry=tl, **kwargs)
+        assert res.engine == engine and res.verified
+        tl.reconcile(res.exec_result.stats)
+        fp = _fingerprint(res, tl)
+        fp["replicas"] = {
+            k: r.summary() for k, r in res.exec_result.replicas.items()
+        }
+        prints[engine] = fp
+    assert prints["dense"] == prints["greedy"]
