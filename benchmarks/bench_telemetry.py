@@ -2,10 +2,11 @@
 """Telemetry overhead benchmark: the disabled path must stay free.
 
 The telemetry layer's core promise is that *not* using it costs
-(essentially) nothing: the greedy executor only dispatches to its
-instrumented loop when a timeline is attached, and the dense executor
-feeds telemetry from its event buckets strictly after the timed
-simulation.  This script measures both sides of that promise:
+(essentially) nothing: the greedy executor's one event loop guards each
+recording call with a single test on a local (``timeline is not
+None``), and the dense executor feeds telemetry from its event buckets
+strictly after the timed simulation.  This script measures both sides
+of that promise:
 
 * **disabled overhead** — the same workload through each engine with
   ``telemetry=None``, interleaved A/B against a second identical
@@ -20,7 +21,9 @@ simulation.  This script measures both sides of that promise:
 
 The gate: disabled-path wall time within ``--gate-pct`` (default 2%)
 of the interleaved control, per engine, using median-of-``--repeats``
-after a warm-up.  Results go to ``BENCH_telemetry.json``::
+after a warm-up.  Results go to ``BENCH_telemetry.json``, stamped
+with the git commit they measured (``git_sha``, plus ``git_dirty`` when
+the working tree had uncommitted changes)::
 
     PYTHONPATH=src python benchmarks/bench_telemetry.py --smoke
 """
@@ -31,6 +34,7 @@ import argparse
 import json
 import pathlib
 import statistics
+import subprocess
 import sys
 import time
 
@@ -52,6 +56,23 @@ from repro.topology.delays import scale_to_average, uniform_delays
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 _ENGINES = {"greedy": GreedyExecutor, "dense": DenseExecutor}
+
+
+def _git_stamp() -> dict:
+    """The commit this run measured (``None`` outside a git checkout)."""
+    try:
+        def git(*cmd: str) -> str:
+            return subprocess.run(
+                ["git", *cmd], cwd=REPO_ROOT, capture_output=True,
+                text=True, check=True,
+            ).stdout.strip()
+
+        return {
+            "git_sha": git("rev-parse", "HEAD"),
+            "git_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        }
+    except (OSError, subprocess.CalledProcessError):
+        return {"git_sha": None, "git_dirty": None}
 
 
 def _bench_host(n: int, d_target: float, seed: int = 0) -> HostArray:
@@ -174,6 +195,7 @@ def main(argv: list[str] | None = None) -> int:
         "smoke": args.smoke,
         "gate_pct": args.gate_pct,
         "python": sys.version.split()[0],
+        **_git_stamp(),
         "engines": records,
     }
     out = pathlib.Path(args.out)

@@ -18,14 +18,14 @@ incremental re-simulation needs.
 
 Bit-identity with the greedy engine is preserved the same way the
 fault-free tier preserves it: the bucket sweep replays the exact
-``(time, seq)`` event order of :meth:`GreedyExecutor._run_faulty`,
+``(time, seq)`` event order of a faulted :meth:`GreedyExecutor.run`,
 including the per-destination injection order of faulty sends, the
 one-shot drop consumption order, the per-directed-link monotone arrival
 clamp, retry re-subscription order, and recovery epoch restarts.
-Telemetry is fed *inline* (unlike the fault-free post-pass): the faulty
-greedy loop records ready-time injections and in-flight drops that
-cannot be reconstructed from the surviving buckets alone, so the
-faulted tier mirrors its instrumentation call-for-call instead.
+Telemetry is fed *inline* (unlike the fault-free post-pass): on a
+faulted run the greedy loop records ready-time injections and in-flight
+drops that cannot be reconstructed from the surviving buckets alone, so
+the faulted tier mirrors its instrumentation call-for-call instead.
 
 Scheduling decisions never read pebble *values* — fault timing included
 — so values are still computed once, vectorised, from the final epoch's
@@ -239,7 +239,7 @@ class FaultedDenseExecutor(DenseExecutor):
 
     # -- the segmented loop ----------------------------------------------
     def _run_faulted(self):
-        """Replay of ``GreedyExecutor._run_faulty`` on dense machinery.
+        """Replay of a faulted ``GreedyExecutor.run`` on dense machinery.
 
         Every event the greedy engine would push is pushed here at the
         same time, in the same sequence order (all pushes are strictly

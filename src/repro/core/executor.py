@@ -21,9 +21,13 @@ the measured makespan validates the upper-bound theorems, and the
 executor doubles as the baseline engine when given redundancy-free
 assignments.
 
-The implementation follows the hot-loop rules of the HPC guides: plain
-lists and dicts bound to locals, integer event tags, a single heap, no
-per-pebble object allocation.
+One event loop (:meth:`GreedyExecutor.run`) serves every feature:
+redundant-issue racing, multicast streams, scheduling jitter, fault
+injection with mid-run recovery, tracing and telemetry are branches on
+locals bound once per run, so the executor is also the single oracle
+every dense tier is checked against.  The loop follows the usual
+hot-loop rules: plain lists and dicts bound to locals, integer event
+tags, a single heap, no per-pebble object allocation.
 """
 
 from __future__ import annotations
@@ -160,7 +164,6 @@ class GreedyExecutor:
         "_streams",
         "_dead",
         "_fault_log",
-        "_progress",
         "_holders",
         "_pending_holders",
     )
@@ -198,19 +201,18 @@ class GreedyExecutor:
         ``j``, and the guest semantics must follow ``k``, not ``j``.
 
         ``faults`` is an optional :class:`~repro.netsim.faults.FaultPlan`
-        to inject during the run; a non-empty plan switches :meth:`run`
-        to the fault-aware loop (``policy`` tunes detection/recovery,
-        ``reassign`` maps a dead-position set to a reduced
-        :class:`Assignment` — default: re-run OVERLAP's killing stages
-        with ``min_copies=2``).  An empty/absent plan takes the plain
-        loop, bit-identical to the fault-free executor.
+        to inject during the run; a plan with any effect turns on the
+        fault branches of :meth:`run` (``policy`` tunes
+        detection/recovery, ``reassign`` maps a dead-position set to a
+        reduced :class:`Assignment` — default: re-run OVERLAP's killing
+        stages with ``min_copies=2``).  An empty or effect-free plan
+        runs exactly like no plan.
 
         ``telemetry`` is an optional
         :class:`~repro.telemetry.timeline.MetricsTimeline` to fill with
-        per-step counters.  With ``None`` (the default) the plain loop
-        runs with zero telemetry branches; with a timeline attached the
-        run dispatches to an instrumented copy of the same loop (fault
-        runs check inline) — results are identical either way.
+        per-step counters.  The loop only *observes* into it
+        (completions, injections, deliveries), never alters ready times
+        or push order, so results are identical with or without one.
 
         ``exec_policy`` selects the issue discipline
         (:class:`~repro.core.racing.ExecPolicy` or a name string).
@@ -442,58 +444,122 @@ class GreedyExecutor:
         db.apply(self.program, update)
         self.vals[p][c][t] = value
         self.busy[p] = True
-        if self._faulty:
-            queue.push(now + 1, _DONE, (p, c, t, self._epoch))
-        else:
-            queue.push(now + 1, _DONE, (p, c, t))
+        queue.push(now + 1, _DONE, (p, c, t, self._epoch))
 
     def run(self) -> ExecResult:
-        if self._faulty:
-            return self._run_faulty()
-        if self._racing:
-            return self._run_racing()
-        if self.telemetry is not None:
-            return self._run_telemetry()
+        """Execute the assignment greedily; return the :class:`ExecResult`.
+
+        One event loop serves every feature.  Racing, telemetry,
+        multicast, tracing and faults are branches on locals bound once
+        per run, and each branch only *adds* behaviour, so a fault-free
+        single-issue run processes exactly the events of the plain
+        greedy schedule:
+
+        * every event carries the epoch it was pushed in; a mid-run
+          reconfiguration bumps the epoch and everything in flight is
+          discarded.  Fault-free runs never leave epoch 0;
+        * only a faulted run pushes ``_CRASH``, ``_CHECK``, ``_REQ`` and
+          ``_WATCH`` events (scripted crashes, per-stream stall
+          detection/retry, and a no-progress watchdog that turns a
+          wedged schedule into :class:`SimulationDeadlock`), and only a
+          faulted run stops at its last pebble — fault-free runs drain
+          the queue so trailing relay hops still count;
+        * deliveries apply the next in-order pebble.  On a fault-free
+          stream a gap or a duplicate breaks an invariant and raises;
+          under faults both are expected (a lost predecessor, a replay)
+          and ignored.  Under racing, a duplicate is a losing replica's
+          answer: it is checked against the winner's value and counted
+          as a loss;
+        * racing cancels a copy at the source, and at every relay hop,
+          once its subscriber is past the pebble (the oracle rule of
+          "Low Latency via Redundancy"), so abandoned messages stop
+          consuming link slots.
+
+        The timeline's ``send`` stamp is the injection slot
+        (``arrival - link delay``) on fault-free runs and the ready
+        time on faulted ones, where jitter makes the slot unknowable
+        from the arrival; both dense tiers stamp it the same way.
+        """
         stats = SimStats()
         queue = EventQueue()
         T = self.T
+        host = self.host
+        policy = self.policy
+        fabric = self.fabric
+        tl = self.telemetry
+        trace = self.trace
+        faulty = self._faulty
+        racing = self._racing
+        multicast = self.multicast
         makespan = 0
-        remaining = sum(1 for p in self.used for _ in self.done[p]) * T
+        self._epoch = epoch = 0
+        self._dead = dead = set()
+        self._fault_log = []
+        # A fault-free timeline names its engine even on a zero-step
+        # run; a faulted one, like the faulted dense tier's, stays empty.
+        if tl is not None and not faulty:
+            tl.meta.setdefault("engine", "greedy")
+        if faulty:
+            stats.faults_injected = len(self.faults.events)
+            # column -> live positions holding a replica (recovery sources)
+            self._holders = {
+                c: set(ps) for c, ps in self.assignment.owners().items()
+            }
+        remaining = sum(len(self.done[p]) for p in self.used) * T
 
         if T == 0 or remaining == 0:
             return self._finish(stats, 0)
 
         sd = self._step_done = [0] * (T + 1)
+        if tl is not None:
+            tl.meta.setdefault("engine", "greedy")
+            tl.spans.begin("epoch", 0, track="epochs", epoch=0)
+        if faulty:
+            for pos, t_crash in sorted(self._fault_tables.crash_times.items()):
+                queue.push(t_crash, _CRASH, pos)
         for p in self.used:
             self._try_start(p, 0, queue)
+        if faulty:
+            self._init_streams(0, queue)
+            queue.push(self._watch_window(), _WATCH, 0)
 
         # Hot loop: everything touched per event is bound to a local once
         # (attribute lookups profiled as a double-digit share of runtime);
-        # the pebble/message counters accumulate in plain ints and are
-        # written back to ``stats`` after the loop.
-        fabric_hop = self.fabric.hop
-        fabric_hop_many = self.fabric.hop_many
+        # the counters accumulate in plain ints and are written back to
+        # ``stats`` after the loop.  ``_reconfigure`` rebuilds the
+        # per-epoch state, so the locals are rebound after it.
+        hop = fabric.hop_faulty if faulty else fabric.hop
+        delays = fabric.link_delays
         busy = self.busy
         done = self.done
         vals = self.vals
         ext = self.ext
+        raced = self._raced
         subscribers_get = self.subscribers.get
         try_start = self._try_start
         push = queue.push
         pop = queue.pop
-        trace = self.trace
-        multicast = self.multicast
-        n_pebbles = 0
-        n_messages = 0
+        if tl is not None:
+            tl_pebble = tl.pebble
+            tl_message = tl.message
+            tl_send = tl.send
+            tl_deliver = tl.deliver
+        n_pebbles = n_messages = n_lost = n_delivered = 0
+        n_cancelled = n_wins = n_losses = 0
         while queue:
             ev = pop()
             now = ev.time
-            if ev.kind == _DONE:
-                p, c, t = ev.data
+            kind = ev.kind
+            if kind == _DONE:
+                p, c, t, ep = ev.data
+                if ep != epoch:
+                    continue  # pre-reconfiguration work, discarded
                 busy[p] = False
                 done[p][c] = t
                 n_pebbles += 1
                 remaining -= 1
+                if tl is not None:
+                    tl_pebble(now, p, c, t)
                 if trace is not None:
                     trace.record(now, p, c, t)
                 if now > makespan:
@@ -508,292 +574,10 @@ class GreedyExecutor:
                         # subscribers peel their copy off as it passes.
                         left = tuple(sorted((d for d in subs if d < p), reverse=True))
                         right = tuple(sorted(d for d in subs if d > p))
-                        for targets in (left, right):
-                            if not targets:
-                                continue
-                            n_messages += 1
-                            step = 1 if targets[0] > p else -1
-                            arr = fabric_hop(p, step, now)
-                            push(arr, _MSG, (p + step, targets, c, t, value))
-                    elif len(subs) == 1:
-                        dst = subs[0]
-                        n_messages += 1
-                        step = 1 if dst > p else -1
-                        arr = fabric_hop(p, step, now)
-                        push(arr, _MSG, (p + step, (dst,), c, t, value))
-                    else:
-                        # Whole-stream send: all copies are ready at
-                        # ``now``, so batch the per-direction injections
-                        # (identical slot assignment and push order to
-                        # one hop per subscriber).
-                        n_right = 0
-                        for dst in subs:
-                            if dst > p:
-                                n_right += 1
-                        right_arr = (
-                            fabric_hop_many(p, 1, now, n_right) if n_right else ()
-                        )
-                        n_left = len(subs) - n_right
-                        left_arr = (
-                            fabric_hop_many(p, -1, now, n_left) if n_left else ()
-                        )
-                        n_messages += len(subs)
-                        ri = li = 0
-                        for dst in subs:
-                            if dst > p:
-                                arr = right_arr[ri]
-                                ri += 1
-                                push(arr, _MSG, (p + 1, (dst,), c, t, value))
-                            else:
-                                arr = left_arr[li]
-                                li += 1
-                                push(arr, _MSG, (p - 1, (dst,), c, t, value))
-                try_start(p, now, queue)
-            else:  # _MSG
-                pos, targets, c, t, value = ev.data
-                if pos == targets[0]:
-                    e = ext[pos][c]
-                    if t != e[0] + 1:  # pragma: no cover - invariant guard
-                        raise AssertionError(
-                            f"out-of-order delivery of ({c},{t}) at {pos}: "
-                            f"have {e[0]}"
-                        )
-                    e[1][t] = value
-                    e[0] = t
-                    targets = targets[1:]
-                    try_start(pos, now, queue)
-                if targets:
-                    step = 1 if targets[0] > pos else -1
-                    arr = fabric_hop(pos, step, now)
-                    push(arr, _MSG, (pos + step, targets, c, t, value))
-
-        stats.pebbles = n_pebbles
-        stats.messages = n_messages
-        if remaining:
-            raise self._deadlock(f"{remaining} pebbles never computed")
-        return self._finish(stats, makespan)
-
-    def _run_telemetry(self) -> ExecResult:
-        """Instrumented copy of the plain loop (fault-free + telemetry).
-
-        Byte-for-byte the same event processing as :meth:`run` — the
-        timeline only *observes* (completions, injections, deliveries),
-        never alters ready times or push order — so results stay
-        bit-identical to the un-instrumented run.  Kept as a separate
-        method so the plain loop carries zero telemetry branches.
-        """
-        tl = self.telemetry
-        tl.meta.setdefault("engine", "greedy")
-        stats = SimStats()
-        queue = EventQueue()
-        T = self.T
-        makespan = 0
-        remaining = sum(1 for p in self.used for _ in self.done[p]) * T
-
-        if T == 0 or remaining == 0:
-            return self._finish(stats, 0)
-
-        sd = self._step_done = [0] * (T + 1)
-        tl.spans.begin("epoch", 0, track="epochs", epoch=0)
-        for p in self.used:
-            self._try_start(p, 0, queue)
-
-        fabric_hop = self.fabric.hop
-        fabric_hop_many = self.fabric.hop_many
-        delays = self.fabric.link_delays
-        busy = self.busy
-        done = self.done
-        vals = self.vals
-        ext = self.ext
-        subscribers_get = self.subscribers.get
-        try_start = self._try_start
-        push = queue.push
-        pop = queue.pop
-        trace = self.trace
-        multicast = self.multicast
-        tl_pebble = tl.pebble
-        tl_send = tl.send
-        tl_message = tl.message
-        tl_deliver = tl.deliver
-        n_pebbles = 0
-        n_messages = 0
-        while queue:
-            ev = pop()
-            now = ev.time
-            if ev.kind == _DONE:
-                p, c, t = ev.data
-                busy[p] = False
-                done[p][c] = t
-                n_pebbles += 1
-                remaining -= 1
-                tl_pebble(now, p, c, t)
-                if trace is not None:
-                    trace.record(now, p, c, t)
-                if now > makespan:
-                    makespan = now
-                if now > sd[t]:
-                    sd[t] = now
-                subs = subscribers_get((p, c))
-                if subs:
-                    value = vals[p][c][t]
-                    if multicast:
-                        left = tuple(sorted((d for d in subs if d < p), reverse=True))
-                        right = tuple(sorted(d for d in subs if d > p))
-                        for targets in (left, right):
-                            if not targets:
-                                continue
-                            n_messages += 1
-                            tl_message(now)
-                            step = 1 if targets[0] > p else -1
-                            arr = fabric_hop(p, step, now)
-                            tl_send(arr - delays[p if step == 1 else p - 1], arr)
-                            push(arr, _MSG, (p + step, targets, c, t, value))
-                    elif len(subs) == 1:
-                        dst = subs[0]
-                        n_messages += 1
-                        tl_message(now)
-                        step = 1 if dst > p else -1
-                        arr = fabric_hop(p, step, now)
-                        tl_send(arr - delays[p if step == 1 else p - 1], arr)
-                        push(arr, _MSG, (p + step, (dst,), c, t, value))
-                    else:
-                        n_right = 0
-                        for dst in subs:
-                            if dst > p:
-                                n_right += 1
-                        right_arr = (
-                            fabric_hop_many(p, 1, now, n_right) if n_right else ()
-                        )
-                        n_left = len(subs) - n_right
-                        left_arr = (
-                            fabric_hop_many(p, -1, now, n_left) if n_left else ()
-                        )
-                        n_messages += len(subs)
-                        tl_message(now, len(subs))
-                        d_right = delays[p] if n_right else 0
-                        d_left = delays[p - 1] if n_left else 0
-                        for arr in right_arr:
-                            tl_send(arr - d_right, arr)
-                        for arr in left_arr:
-                            tl_send(arr - d_left, arr)
-                        ri = li = 0
-                        for dst in subs:
-                            if dst > p:
-                                arr = right_arr[ri]
-                                ri += 1
-                                push(arr, _MSG, (p + 1, (dst,), c, t, value))
-                            else:
-                                arr = left_arr[li]
-                                li += 1
-                                push(arr, _MSG, (p - 1, (dst,), c, t, value))
-                try_start(p, now, queue)
-            else:  # _MSG
-                pos, targets, c, t, value = ev.data
-                if pos == targets[0]:
-                    e = ext[pos][c]
-                    if t != e[0] + 1:  # pragma: no cover - invariant guard
-                        raise AssertionError(
-                            f"out-of-order delivery of ({c},{t}) at {pos}: "
-                            f"have {e[0]}"
-                        )
-                    e[1][t] = value
-                    e[0] = t
-                    tl_deliver(now)
-                    targets = targets[1:]
-                    try_start(pos, now, queue)
-                if targets:
-                    step = 1 if targets[0] > pos else -1
-                    arr = fabric_hop(pos, step, now)
-                    tl_send(arr - delays[pos if step == 1 else pos - 1], arr)
-                    push(arr, _MSG, (pos + step, targets, c, t, value))
-
-        stats.pebbles = n_pebbles
-        stats.messages = n_messages
-        if remaining:
-            raise self._deadlock(f"{remaining} pebbles never computed")
-        tl.spans.close_all(makespan)
-        return self._finish(stats, makespan)
-
-    def _run_racing(self) -> ExecResult:
-        """Fault-free redundant-issue loop (``exec_policy`` races) — the
-        oracle for :class:`~repro.core.dense.DenseExecutor`'s raced
-        branch, which ``engine="auto"`` selects for these runs.
-
-        Each raced external column has up to ``fanout`` provider
-        streams; every delivery is tolerant first-wins:
-
-        * in-order (``t == watermark + 1``) — the winner; apply and
-          advance;
-        * duplicate (``t <= watermark``) — a losing replica's answer;
-          checked for value consistency against the winner and counted
-          as a raced loss;
-        * a gap is impossible fault-free (per-stream sends are FIFO and
-          a predecessor is only ever *cancelled* when the watermark
-          already covers it), so it stays a hard invariant error.
-
-        Cancellation is the oracle rule from "Low Latency via
-        Redundancy": a pebble the subscriber is already past is never
-        injected (cancelled at the source) and an in-flight copy is
-        dropped at its next relay hop — abandoned messages stop
-        consuming link slots immediately.
-        """
-        tl = self.telemetry
-        if tl is not None:
-            tl.meta.setdefault("engine", "greedy")
-        stats = SimStats()
-        queue = EventQueue()
-        T = self.T
-        makespan = 0
-        remaining = sum(1 for p in self.used for _ in self.done[p]) * T
-
-        if T == 0 or remaining == 0:
-            return self._finish(stats, 0)
-
-        sd = self._step_done = [0] * (T + 1)
-        if tl is not None:
-            tl.spans.begin("epoch", 0, track="epochs", epoch=0)
-        for p in self.used:
-            self._try_start(p, 0, queue)
-
-        fabric_hop = self.fabric.hop
-        delays = self.fabric.link_delays
-        busy = self.busy
-        done = self.done
-        vals = self.vals
-        ext = self.ext
-        raced = self._raced
-        subscribers_get = self.subscribers.get
-        try_start = self._try_start
-        push = queue.push
-        pop = queue.pop
-        trace = self.trace
-        n_pebbles = 0
-        n_messages = 0
-        n_cancelled = 0
-        n_wins = 0
-        n_losses = 0
-        while queue:
-            ev = pop()
-            now = ev.time
-            if ev.kind == _DONE:
-                p, c, t = ev.data
-                busy[p] = False
-                done[p][c] = t
-                n_pebbles += 1
-                remaining -= 1
-                if tl is not None:
-                    tl.pebble(now, p, c, t)
-                if trace is not None:
-                    trace.record(now, p, c, t)
-                if now > makespan:
-                    makespan = now
-                if now > sd[t]:
-                    sd[t] = now
-                subs = subscribers_get((p, c))
-                if subs:
-                    value = vals[p][c][t]
-                    for dst in subs:
-                        if ext[dst][c][0] >= t:
+                        subs = [s for s in (left, right) if s]
+                    for sub in subs:
+                        dst = sub[0] if multicast else sub
+                        if racing and ext[dst][c][0] >= t:
                             # The race for (c, t) is over: cancel at the
                             # source, never consuming a link slot.
                             n_cancelled += 1
@@ -802,15 +586,30 @@ class GreedyExecutor:
                             continue
                         n_messages += 1
                         if tl is not None:
-                            tl.message(now)
+                            tl_message(now)
                         step = 1 if dst > p else -1
-                        arr = fabric_hop(p, step, now)
+                        arr = hop(p, step, now)
+                        if arr is LOST:
+                            n_lost += 1
+                            if tl is not None:
+                                tl_send(now, now)
+                                tl.drop(now)
+                            continue
                         if tl is not None:
-                            tl.send(arr - delays[p if step == 1 else p - 1], arr)
-                        push(arr, _MSG, (p + step, (dst,), c, t, value))
+                            tl_send(
+                                now if faulty
+                                else arr - delays[p if step == 1 else p - 1],
+                                arr,
+                            )
+                        targets = sub if multicast else (dst,)
+                        push(arr, _MSG, (p + step, targets, c, t, value, epoch))
+                if faulty and not remaining:
+                    break
                 try_start(p, now, queue)
-            else:  # _MSG
-                pos, targets, c, t, value = ev.data
+            elif kind == _MSG:
+                pos, targets, c, t, value, ep = ev.data
+                if ep != epoch:
+                    continue
                 dst = targets[0]
                 if pos == dst:
                     e = ext[pos][c]
@@ -818,12 +617,13 @@ class GreedyExecutor:
                     if t == w + 1:
                         e[1][t] = value
                         e[0] = t
-                        if (pos, c) in raced:
+                        n_delivered += 1
+                        if racing and (pos, c) in raced:
                             n_wins += 1
                         if tl is not None:
-                            tl.deliver(now)
+                            tl_deliver(now)
                         try_start(pos, now, queue)
-                    elif t <= w:
+                    elif racing and t <= w:
                         # A losing replica's answer arrived end-to-end:
                         # it must agree with the winner (the
                         # digest-consistency check of the race).
@@ -833,29 +633,180 @@ class GreedyExecutor:
                                 f"{pos}: winner {e[1][t]!r} vs loser {value!r}"
                             )
                         n_losses += 1
-                    else:  # pragma: no cover - invariant guard
+                    elif not faulty:  # pragma: no cover - invariant guard
                         raise AssertionError(
                             f"out-of-order delivery of ({c},{t}) at {pos}: "
                             f"have {w}"
                         )
-                else:
-                    if ext[dst][c][0] >= t:
-                        # Cancelled in flight: the destination is past
-                        # this pebble, stop relaying it.
-                        n_cancelled += 1
+                    targets = targets[1:]
+                    if not targets:
+                        continue
+                    dst = targets[0]
+                if racing and ext[dst][c][0] >= t:
+                    # Cancelled in flight: the destination is past this
+                    # pebble, stop relaying it.
+                    n_cancelled += 1
+                    if tl is not None:
+                        tl.cancel(now)
+                    continue
+                step = 1 if dst > pos else -1
+                arr = hop(pos, step, now)
+                if arr is LOST:
+                    n_lost += 1
+                    if tl is not None:
+                        tl_send(now, now)
+                        tl.drop(now)
+                    continue
+                if tl is not None:
+                    tl_send(
+                        now if faulty
+                        else arr - delays[pos if step == 1 else pos - 1],
+                        arr,
+                    )
+                push(arr, _MSG, (pos + step, targets, c, t, value, epoch))
+            elif kind == _CRASH:
+                pos = ev.data
+                if pos in dead:
+                    continue
+                dead.add(pos)
+                stats.crashed_nodes += 1
+                self._fault_log.append(f"t={now} crash node {pos}")
+                if trace is not None:
+                    trace.record_fault(now, "crash", f"node {pos}")
+                if tl is not None:
+                    tl.fault(now, "crash", f"node {pos}")
+                for holders in self._holders.values():
+                    holders.discard(pos)
+                if self.assignment.ranges[pos] is None:
+                    continue  # relay-only node: no databases lost
+                remaining = self._reconfigure(now, queue, stats)
+                epoch = self._epoch
+                busy = self.busy
+                done = self.done
+                vals = self.vals
+                ext = self.ext
+                raced = self._raced
+                subscribers_get = self.subscribers.get
+            elif kind == _RESUME:
+                if ev.data != epoch:
+                    continue
+                # Copies complete now: the sources must have survived
+                # the whole restart window.
+                missing = [
+                    c for c in range(1, self.m + 1) if not self._holders.get(c)
+                ]
+                if missing:
+                    raise self._deadlock(
+                        "no replica of a needed database interval survived "
+                        f"the restart window: columns {missing[:10]}"
+                        f"{'...' if len(missing) > 10 else ''}"
+                    )
+                self._holders = {
+                    c: set(ps) - dead for c, ps in self._pending_holders.items()
+                }
+                for p in self.used:
+                    try_start(p, now, queue)
+                self._init_streams(now, queue)
+            elif kind == _CHECK:
+                p, c, ep = ev.data
+                if ep != epoch or p in dead:
+                    continue
+                e = ext.get(p, {}).get(c)
+                stream = self._streams.get((p, c))
+                if e is None or stream is None or e[0] >= T:
+                    continue  # stream gone or complete
+                provider, attempts, retries, last_t = stream
+                if e[0] > last_t:  # progressing normally
+                    stream[3] = e[0]
+                    queue.push(
+                        now + self._stream_timeout(p, provider), _CHECK, (p, c, ep)
+                    )
+                    continue
+                if retries >= policy.max_retries:
+                    raise self._deadlock(
+                        f"stream {provider}->{p} for column {c} stalled at "
+                        f"t={e[0]} after {retries} retries"
+                    )
+                candidates = [
+                    q for q in self.assignment.owners().get(c, ()) if q not in dead
+                ]
+                if not candidates:
+                    raise self._deadlock(
+                        f"no live replica of column {c} left to retry from"
+                    )
+                candidates.sort(key=lambda q: (host.distance(p, q), abs(q - p), q))
+                stream[1] = attempts + 1
+                q2 = candidates[attempts % len(candidates)]
+                if q2 != provider:
+                    old = subscribers_get((provider, c))
+                    if old and p in old:
+                        old.remove(p)
+                    self.subscribers.setdefault((q2, c), []).append(p)
+                    stream[0] = q2
+                self._fault_log.append(
+                    f"t={now} retry: {p} re-requests column {c} (past t={e[0]}) "
+                    f"from {q2}"
+                )
+                if trace is not None:
+                    trace.record_fault(now, "retry", f"{p} col {c} from {q2}")
+                if tl is not None:
+                    tl.fault(now, "retry", f"{p} col {c} from {q2}")
+                queue.push(now + max(1, host.distance(p, q2)), _REQ, (q2, p, c, e[0], ep))
+                queue.push(now + self._stream_timeout(p, q2), _CHECK, (p, c, ep))
+            elif kind == _REQ:
+                q, p, c, from_t, ep = ev.data
+                if ep != epoch or q in dead:
+                    continue
+                have = done.get(q, {}).get(c)
+                if have is None or have <= from_t:
+                    # Nothing undelivered at the provider: the stream was
+                    # merely slow, not faulty — no retry budget consumed.
+                    continue
+                stream = self._streams.get((p, c))
+                if stream is not None:
+                    stream[2] += 1
+                stats.retries += 1
+                step = 1 if p > q else -1
+                col_vals = vals[q][c]
+                if not self._fault_tables.has_link_faults():
+                    # Whole-stream replay with no link faults scripted:
+                    # every per-pebble fault check is a no-op, so the
+                    # batched injection is exactly equivalent.
+                    count = have - from_t
+                    n_messages += count
+                    arrivals = fabric.hop_many(q, step, now, count)
+                    if tl is not None:
+                        tl_message(now, count)
+                        for arr in arrivals:
+                            tl_send(now, arr)
+                    for t, arr in zip(range(from_t + 1, have + 1), arrivals):
+                        push(arr, _MSG, (q + step, (p,), c, t, col_vals[t], ep))
+                    continue
+                for t in range(from_t + 1, have + 1):
+                    n_messages += 1
+                    if tl is not None:
+                        tl_message(now)
+                    arr = hop(q, step, now)
+                    if arr is LOST:
+                        n_lost += 1
                         if tl is not None:
-                            tl.cancel(now)
-                    else:
-                        step = 1 if dst > pos else -1
-                        arr = fabric_hop(pos, step, now)
-                        if tl is not None:
-                            tl.send(
-                                arr - delays[pos if step == 1 else pos - 1], arr
-                            )
-                        push(arr, _MSG, (pos + step, targets, c, t, value))
+                            tl_send(now, now)
+                            tl.drop(now)
+                        continue
+                    if tl is not None:
+                        tl_send(now, arr)
+                    push(arr, _MSG, (q + step, (p,), c, t, col_vals[t], ep))
+            else:  # _WATCH
+                # Progress: pebbles computed plus in-order deliveries.
+                progress = n_pebbles + n_delivered
+                if remaining and progress == ev.data:
+                    raise self._deadlock("no progress for a full watchdog window")
+                if remaining:
+                    queue.push(now + self._watch_window(), _WATCH, progress)
 
         stats.pebbles = n_pebbles
         stats.messages = n_messages
+        stats.lost_messages = n_lost
         self._cancelled = n_cancelled
         self._raced_wins = n_wins
         self._raced_losses = n_losses
@@ -885,7 +836,7 @@ class GreedyExecutor:
             message,
             pending=pending,
             undelivered=undelivered,
-            fault_log=list(getattr(self, "_fault_log", ())),
+            fault_log=list(self._fault_log),
         )
 
     def _watch_window(self) -> int:
@@ -1005,319 +956,6 @@ class GreedyExecutor:
             )
         queue.push(now + penalty, _RESUME, self._epoch)
         return sum(len(self.done[p]) for p in self.used) * self.T
-
-    def _run_faulty(self) -> ExecResult:
-        """Fault-aware main loop (only entered with a non-empty plan).
-
-        The plain loop plus: epoch-tagged events (a mid-run
-        reconfiguration invalidates everything in flight), scripted
-        ``_CRASH`` events, per-stream stall detection/retry
-        (``_CHECK``/``_REQ``), and a global no-progress watchdog that
-        turns any wedged schedule into :class:`SimulationDeadlock`
-        rather than an infinite loop.
-        """
-        stats = SimStats()
-        queue = EventQueue()
-        T = self.T
-        host = self.host
-        policy = self.policy
-        tl = self.telemetry
-        makespan = 0
-        self._epoch = 0
-        self._dead: set[int] = set()
-        self._fault_log: list[str] = []
-        self._progress = 0
-        self._streams: dict[tuple[int, int], list] = {}
-        stats.faults_injected = len(self.faults.events)
-        # column -> live positions holding a replica (recovery sources)
-        self._holders = {c: set(ps) for c, ps in self.assignment.owners().items()}
-        remaining = sum(len(self.done[p]) for p in self.used) * T
-
-        if T == 0 or remaining == 0:
-            return self._finish(stats, 0)
-
-        sd = self._step_done = [0] * (T + 1)
-        racing = self._racing
-        if tl is not None:
-            tl.meta.setdefault("engine", "greedy")
-            tl.spans.begin("epoch", 0, track="epochs", epoch=0)
-        for pos, t_crash in sorted(self._fault_tables.crash_times.items()):
-            queue.push(t_crash, _CRASH, pos)
-        for p in self.used:
-            self._try_start(p, 0, queue)
-        self._init_streams(0, queue)
-        queue.push(self._watch_window(), _WATCH, self._progress)
-
-        hop = self.fabric.hop_faulty
-        while queue:
-            ev = queue.pop()
-            now = ev.time
-            kind = ev.kind
-            if kind == _DONE:
-                p, c, t, ep = ev.data
-                if ep != self._epoch:
-                    continue  # pre-reconfiguration work, discarded
-                self.busy[p] = False
-                self.done[p][c] = t
-                stats.pebbles += 1
-                remaining -= 1
-                self._progress += 1
-                if tl is not None:
-                    tl.pebble(now, p, c, t)
-                if self.trace is not None:
-                    self.trace.record(now, p, c, t)
-                if now > makespan:
-                    makespan = now
-                if now > sd[t]:
-                    sd[t] = now
-                subs = self.subscribers.get((p, c))
-                if subs:
-                    value = self.vals[p][c][t]
-                    if self.multicast:
-                        left = tuple(sorted((d for d in subs if d < p), reverse=True))
-                        right = tuple(sorted(d for d in subs if d > p))
-                        for targets in (left, right):
-                            if not targets:
-                                continue
-                            stats.messages += 1
-                            if tl is not None:
-                                tl.message(now)
-                            step = 1 if targets[0] > p else -1
-                            arr = hop(p, step, now)
-                            if arr is LOST:
-                                stats.lost_messages += 1
-                                if tl is not None:
-                                    tl.send(now, now)
-                                    tl.drop(now)
-                            else:
-                                if tl is not None:
-                                    tl.send(now, arr)
-                                queue.push(
-                                    arr, _MSG, (p + step, targets, c, t, value, ep)
-                                )
-                    else:
-                        for dst in subs:
-                            if racing:
-                                e = self.ext.get(dst, {}).get(c)
-                                if e is not None and e[0] >= t:
-                                    # Race over: cancel at the source.
-                                    self._cancelled += 1
-                                    if tl is not None:
-                                        tl.cancel(now)
-                                    continue
-                            stats.messages += 1
-                            if tl is not None:
-                                tl.message(now)
-                            step = 1 if dst > p else -1
-                            arr = hop(p, step, now)
-                            if arr is LOST:
-                                stats.lost_messages += 1
-                                if tl is not None:
-                                    tl.send(now, now)
-                                    tl.drop(now)
-                            else:
-                                if tl is not None:
-                                    tl.send(now, arr)
-                                queue.push(
-                                    arr, _MSG, (p + step, (dst,), c, t, value, ep)
-                                )
-                if remaining == 0:
-                    break
-                self._try_start(p, now, queue)
-            elif kind == _MSG:
-                pos, targets, c, t, value, ep = ev.data
-                if ep != self._epoch:
-                    continue
-                if pos == targets[0]:
-                    e = self.ext.get(pos, {}).get(c)
-                    # Unlike the plain loop, duplicates (t <= watermark,
-                    # from replays or losing raced replicas) and gaps
-                    # (t > watermark + 1, after a lost predecessor) are
-                    # expected: apply only the next in-order pebble,
-                    # ignore the rest.
-                    if e is not None and t == e[0] + 1:
-                        e[1][t] = value
-                        e[0] = t
-                        self._progress += 1
-                        if racing and (pos, c) in self._raced:
-                            self._raced_wins += 1
-                        if tl is not None:
-                            tl.deliver(now)
-                        self._try_start(pos, now, queue)
-                    elif racing and e is not None and t <= e[0]:
-                        # A losing raced replica: digest-consistency
-                        # check against the applied winner.
-                        if e[1][t] != value:
-                            raise AssertionError(
-                                f"raced replicas disagree on ({c},{t}) at "
-                                f"{pos}: winner {e[1][t]!r} vs loser "
-                                f"{value!r}"
-                            )
-                        self._raced_losses += 1
-                    targets = targets[1:]
-                if targets:
-                    if racing and ep == self._epoch:
-                        e2 = self.ext.get(targets[0], {}).get(c)
-                        if e2 is not None and e2[0] >= t:
-                            # Cancelled in flight: stop relaying a
-                            # pebble the destination is already past.
-                            self._cancelled += 1
-                            if tl is not None:
-                                tl.cancel(now)
-                            continue
-                    step = 1 if targets[0] > pos else -1
-                    arr = hop(pos, step, now)
-                    if arr is LOST:
-                        stats.lost_messages += 1
-                        if tl is not None:
-                            tl.send(now, now)
-                            tl.drop(now)
-                    else:
-                        if tl is not None:
-                            tl.send(now, arr)
-                        queue.push(arr, _MSG, (pos + step, targets, c, t, value, ep))
-            elif kind == _CRASH:
-                pos = ev.data
-                if pos in self._dead:
-                    continue
-                self._dead.add(pos)
-                stats.crashed_nodes += 1
-                self._fault_log.append(f"t={now} crash node {pos}")
-                if self.trace is not None:
-                    self.trace.record_fault(now, "crash", f"node {pos}")
-                if tl is not None:
-                    tl.fault(now, "crash", f"node {pos}")
-                for holders in self._holders.values():
-                    holders.discard(pos)
-                if self.assignment.ranges[pos] is None:
-                    continue  # relay-only node: no databases lost
-                remaining = self._reconfigure(now, queue, stats)
-            elif kind == _RESUME:
-                if ev.data != self._epoch:
-                    continue
-                # Copies complete now: the sources must have survived
-                # the whole restart window.
-                missing = [
-                    c for c in range(1, self.m + 1) if not self._holders.get(c)
-                ]
-                if missing:
-                    raise self._deadlock(
-                        "no replica of a needed database interval survived "
-                        f"the restart window: columns {missing[:10]}"
-                        f"{'...' if len(missing) > 10 else ''}"
-                    )
-                self._holders = {
-                    c: set(ps) - self._dead
-                    for c, ps in self._pending_holders.items()
-                }
-                for p in self.used:
-                    self._try_start(p, now, queue)
-                self._init_streams(now, queue)
-            elif kind == _CHECK:
-                p, c, ep = ev.data
-                if ep != self._epoch or p in self._dead:
-                    continue
-                e = self.ext.get(p, {}).get(c)
-                stream = self._streams.get((p, c))
-                if e is None or stream is None or e[0] >= T:
-                    continue  # stream gone or complete
-                provider, attempts, retries, last_t = stream
-                if e[0] > last_t:  # progressing normally
-                    stream[3] = e[0]
-                    queue.push(
-                        now + self._stream_timeout(p, provider), _CHECK, (p, c, ep)
-                    )
-                    continue
-                if retries >= policy.max_retries:
-                    raise self._deadlock(
-                        f"stream {provider}->{p} for column {c} stalled at "
-                        f"t={e[0]} after {retries} retries"
-                    )
-                candidates = [
-                    q
-                    for q in self.assignment.owners().get(c, ())
-                    if q not in self._dead
-                ]
-                if not candidates:
-                    raise self._deadlock(
-                        f"no live replica of column {c} left to retry from"
-                    )
-                candidates.sort(key=lambda q: (host.distance(p, q), abs(q - p), q))
-                stream[1] = attempts + 1
-                q2 = candidates[attempts % len(candidates)]
-                if q2 != provider:
-                    old = self.subscribers.get((provider, c))
-                    if old and p in old:
-                        old.remove(p)
-                    self.subscribers.setdefault((q2, c), []).append(p)
-                    stream[0] = q2
-                self._fault_log.append(
-                    f"t={now} retry: {p} re-requests column {c} (past t={e[0]}) "
-                    f"from {q2}"
-                )
-                if self.trace is not None:
-                    self.trace.record_fault(now, "retry", f"{p} col {c} from {q2}")
-                if tl is not None:
-                    tl.fault(now, "retry", f"{p} col {c} from {q2}")
-                queue.push(now + max(1, host.distance(p, q2)), _REQ, (q2, p, c, e[0], ep))
-                queue.push(now + self._stream_timeout(p, q2), _CHECK, (p, c, ep))
-            elif kind == _REQ:
-                q, p, c, from_t, ep = ev.data
-                if ep != self._epoch or q in self._dead:
-                    continue
-                have = self.done.get(q, {}).get(c)
-                if have is None or have <= from_t:
-                    # Nothing undelivered at the provider: the stream was
-                    # merely slow, not faulty — no retry budget consumed.
-                    continue
-                stream = self._streams.get((p, c))
-                if stream is not None:
-                    stream[2] += 1
-                stats.retries += 1
-                step = 1 if p > q else -1
-                col_vals = self.vals[q][c]
-                count = have - from_t
-                if not self._fault_tables.has_link_faults():
-                    # Whole-stream replay with no link faults scripted:
-                    # every per-pebble fault check is a no-op, so the
-                    # batched injection is exactly equivalent.
-                    stats.messages += count
-                    if tl is not None:
-                        tl.message(now, count)
-                    arrivals = self.fabric.hop_many(q, step, now, count)
-                    if tl is not None:
-                        for arr in arrivals:
-                            tl.send(now, arr)
-                    for t, arr in zip(range(from_t + 1, have + 1), arrivals):
-                        queue.push(arr, _MSG, (q + step, (p,), c, t, col_vals[t], ep))
-                else:
-                    for t in range(from_t + 1, have + 1):
-                        stats.messages += 1
-                        if tl is not None:
-                            tl.message(now)
-                        arr = hop(q, step, now)
-                        if arr is LOST:
-                            stats.lost_messages += 1
-                            if tl is not None:
-                                tl.send(now, now)
-                                tl.drop(now)
-                        else:
-                            if tl is not None:
-                                tl.send(now, arr)
-                            queue.push(arr, _MSG, (q + step, (p,), c, t, col_vals[t], ep))
-            else:  # _WATCH
-                if remaining and self._progress == ev.data:
-                    raise self._deadlock(
-                        "no progress for a full watchdog window"
-                    )
-                if remaining:
-                    queue.push(now + self._watch_window(), _WATCH, self._progress)
-
-        if remaining:
-            raise self._deadlock(f"{remaining} pebbles never computed")
-        if tl is not None:
-            tl.spans.close_all(makespan)
-        return self._finish(stats, makespan)
 
     def _finish(self, stats: SimStats, makespan: int) -> ExecResult:
         stats.makespan = makespan

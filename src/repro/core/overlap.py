@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.assignment import Assignment, assign_databases, steal_rebalance
-from repro.core.dense import DenseExecutor, resolve_engine
-from repro.core.executor import ExecResult, GreedyExecutor
-from repro.core.racing import split_policy
+from repro.core.dense import DenseExecutor, build_executor
+from repro.core.executor import ExecResult
+from repro.core.racing import resolve_policy
 from repro.core.killing import (
     KillingResult,
     kill_and_label,
@@ -207,9 +207,9 @@ def simulate_overlap(
         the greedy engine under a fault plan; ``stealing`` rebalances
         the assignment with
         :func:`~repro.core.assignment.steal_rebalance` before the run.
-        For backward compatibility a
-        :class:`~repro.netsim.faults.RecoveryPolicy` instance is
-        accepted here and treated as ``recovery=``.
+        Recovery knobs go to ``recovery=``; a
+        :class:`~repro.netsim.faults.RecoveryPolicy` here raises
+        :class:`TypeError`.
     recovery:
         Detection/recovery knobs (timeouts, retry budget, restart
         penalty); default :class:`~repro.netsim.faults.RecoveryPolicy`.
@@ -251,7 +251,7 @@ def simulate_overlap(
         engine raises :class:`~repro.delta.DeltaUnsupported`.
     """
     program = program or CounterProgram()
-    exec_policy, policy = split_policy(policy, recovery)
+    exec_policy = resolve_policy(policy)
     forced_dead = normalize_forced_dead(host.n, forced_dead)
     if steps is not None:
         steps = validate_steps(steps)
@@ -274,64 +274,31 @@ def simulate_overlap(
             survivors_killing, block, min_copies=max(2, copies)
         )
 
-    resolved = resolve_engine(
+    executor = build_executor(
         engine,
+        host,
+        assignment,
+        program,
+        steps,
+        bandwidth,
         faults=faults,
-        policy=policy,
-        forced_dead=forced_dead,
+        policy=recovery,
+        reassign=reassign,
+        telemetry=telemetry,
         exec_policy=exec_policy,
+        checkpoint_stride=checkpoint_stride,
     )
-    executor = None
-    if resolved == "dense":
-        if faults is not None and not faults.is_empty:
-            from repro.core.dense_faults import FaultedDenseExecutor
-
-            executor = FaultedDenseExecutor(
-                host,
-                assignment,
-                program,
-                steps,
-                bandwidth,
-                telemetry=telemetry,
-                faults=faults,
-                policy=policy,
-                reassign=reassign,
-                checkpoint_stride=checkpoint_stride,
-            )
-        else:
-            executor = DenseExecutor(
-                host,
-                assignment,
-                program,
-                steps,
-                bandwidth,
-                telemetry=telemetry,
-                checkpoint_stride=checkpoint_stride,
-                fanout=exec_policy.issue_fanout,
-            )
-        if resume_from is not None:
-            executor.restore(resume_from)
-        exec_result = executor.run()
-    else:
-        if resume_from is not None:
+    dense = isinstance(executor, DenseExecutor)
+    if resume_from is not None:
+        if not dense:
             from repro.delta import DeltaUnsupported
 
             raise DeltaUnsupported(
                 "resume_from requires the dense tier; this config resolved "
                 "to the greedy engine"
             )
-        exec_result = GreedyExecutor(
-            host,
-            assignment,
-            program,
-            steps,
-            bandwidth,
-            faults=faults,
-            policy=policy,
-            reassign=reassign,
-            telemetry=telemetry,
-            exec_policy=exec_policy,
-        ).run()
+        executor.restore(resume_from)
+    exec_result = executor.run()
     if steal_moves:
         exec_result.stats.extras["steal_moves"] = len(steal_moves)
     schedule = build_schedule(killing.params, base_work=float(max(1, block)))
@@ -345,10 +312,10 @@ def simulate_overlap(
         verified = True
     return OverlapResult(
         host, killing, assignment, exec_result, schedule, steps, verified,
-        faults=faults, engine=resolved, policy=exec_policy.name,
-        telemetry=telemetry,
-        checkpoints=list(executor.checkpoints) if executor is not None else [],
-        first_top_t=executor.first_top_t if executor is not None else None,
+        faults=faults, engine="dense" if dense else "greedy",
+        policy=exec_policy.name, telemetry=telemetry,
+        checkpoints=list(executor.checkpoints) if dense else [],
+        first_top_t=executor.first_top_t if dense else None,
     )
 
 

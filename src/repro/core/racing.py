@@ -30,18 +30,15 @@ replicated columns of the rebalanced assignment.
 
 The frontends (:func:`~repro.core.overlap.simulate_overlap`,
 :func:`~repro.core.ring.simulate_ring`,
-:func:`~repro.core.overlap.simulate_overlap_on_graph`) accept these
-via ``policy=`` — a name string, an :class:`ExecPolicy`, or (for
-backward compatibility) a :class:`~repro.netsim.faults.RecoveryPolicy`
-instance, which :func:`split_policy` routes to the recovery machinery
-instead.
+:func:`~repro.core.overlap.simulate_overlap_on_graph`,
+:func:`~repro.core.composed.simulate_composed`) accept these via
+``policy=`` — a name string or an :class:`ExecPolicy`; recovery knobs
+(a :class:`~repro.netsim.faults.RecoveryPolicy`) go to ``recovery=``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from repro.netsim.faults import RecoveryPolicy
 
 #: Default replication factor of a raced subscription: the nearest two
 #: owners.  More copies chase diminishing returns while doubling the
@@ -128,26 +125,6 @@ def resolve_policy(spec) -> ExecPolicy:
             ) from None
     raise TypeError(
         f"policy must be None, a name string or an ExecPolicy, "
-        f"got {type(spec).__name__}"
+        f"got {type(spec).__name__} (recovery knobs go to recovery=)"
     )
 
-
-def split_policy(policy, recovery):
-    """Resolve the frontends' dual-duty ``policy=`` keyword.
-
-    Historically ``policy=`` carried the
-    :class:`~repro.netsim.faults.RecoveryPolicy`; it now names the
-    execution policy, with ``recovery=`` as the explicit recovery knob.
-    A ``RecoveryPolicy`` instance passed as ``policy`` keeps its old
-    meaning, so every existing call site works unchanged.
-
-    Returns ``(exec_policy, recovery_policy_or_None)``.
-    """
-    if isinstance(policy, RecoveryPolicy):
-        if recovery is not None:
-            raise ValueError(
-                "policy= got a RecoveryPolicy while recovery= is also set; "
-                "pass the recovery knobs once, via recovery="
-            )
-        return SINGLE, policy
-    return resolve_policy(policy), recovery

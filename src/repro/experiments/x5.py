@@ -108,7 +108,7 @@ def _edit_eval(cfg: dict, resume_from=None, checkpoint_stride=None):
         steps=cfg["steps"],
         min_copies=2,
         faults=plan,
-        policy=policy,
+        recovery=policy,
         verify=cfg["verify"],
         checkpoint_stride=checkpoint_stride,
         resume_from=resume_from,

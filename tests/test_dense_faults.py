@@ -25,7 +25,7 @@ from repro.core.killing import kill_and_label
 from repro.core.overlap import simulate_overlap, simulate_overlap_on_graph
 from repro.machine.host import HostArray
 from repro.machine.programs import CounterProgram, get_program
-from repro.netsim.faults import FaultPlan, RecoveryPolicy
+from repro.netsim.faults import FaultPlan
 from repro.telemetry import MetricsTimeline
 from repro.topology.delays import scale_to_average, uniform_delays
 from repro.topology.generators import mesh_host, now_cluster_host, tree_host
@@ -260,7 +260,6 @@ def test_faulted_composed_engines_agree():
 def test_faulted_auto_resolves_dense():
     plan = FaultPlan().crash(3, 10).link_down(2, 5, 10)
     assert resolve_engine("auto", faults=plan) == "dense"
-    assert resolve_engine("auto", faults=plan, policy=RecoveryPolicy()) == "dense"
     # Greedy-only machinery still wins over faults.
     assert resolve_engine("auto", faults=plan, tie_seed=3) == "greedy"
 

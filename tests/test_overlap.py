@@ -125,7 +125,7 @@ class TestOnGraph:
             hg,
             steps=6,
             faults=plan,
-            policy=RecoveryPolicy(),
+            recovery=RecoveryPolicy(),
             min_copies=2,
             verify=True,
         )

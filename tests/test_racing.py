@@ -24,7 +24,6 @@ from repro.core.racing import (
     SINGLE,
     ExecPolicy,
     resolve_policy,
-    split_policy,
 )
 from repro.core.ring import simulate_ring
 from repro.machine.host import HostArray
@@ -79,16 +78,11 @@ def test_resolve_policy_unknown_name():
         resolve_policy("fastest")
 
 
-def test_split_policy_dispatch():
-    rp = RecoveryPolicy()
-    # Legacy route: a RecoveryPolicy passed as `policy` is a recovery.
-    exec_policy, recovery = split_policy(rp, None)
-    assert exec_policy is SINGLE and recovery is rp
-    # New route: strings and ExecPolicy are execution policies.
-    exec_policy, recovery = split_policy("racing", rp)
-    assert exec_policy.racing and recovery is rp
-    with pytest.raises(ValueError):
-        split_policy(rp, rp)
+def test_recovery_policy_as_policy_raises():
+    # Recovery knobs go through recovery= only; policy= names the
+    # execution policy.
+    with pytest.raises(TypeError, match="recovery="):
+        simulate_overlap(HostArray.uniform(12), steps=4, policy=RecoveryPolicy())
 
 
 def test_racing_runs_dense_unless_faulted():

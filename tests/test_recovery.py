@@ -127,11 +127,11 @@ def test_restart_penalty_is_charged():
     plan = FaultPlan().crash(10, 5)
     cheap = simulate_overlap(
         host, steps=STEPS, min_copies=2, faults=plan,
-        policy=RecoveryPolicy(restart_penalty=0),
+        recovery=RecoveryPolicy(restart_penalty=0),
     )
     costly = simulate_overlap(
         host, steps=STEPS, min_copies=2, faults=plan,
-        policy=RecoveryPolicy(restart_penalty=500),
+        recovery=RecoveryPolicy(restart_penalty=500),
     )
     assert costly.verified and cheap.verified
     assert (
