@@ -19,7 +19,8 @@ PR-acceptance gates read:
 All wall times are the median of three timed passes after a warm-up
 pass, so one scheduler hiccup cannot fake a regression (or hide one).
 
-Results go to ``BENCH_sweep.json`` (``--out`` to override)::
+Results go to ``BENCH_sweep.json`` (``--out`` to override), stamped
+with the git commit they measured (``git_sha``/``git_dirty``)::
 
     PYTHONPATH=src python benchmarks/bench_sweep.py --smoke
 
@@ -60,6 +61,8 @@ from repro.machine.host import HostArray
 from repro.machine.programs import get_program
 from repro.runner import SweepRunner
 from repro.topology.delays import scale_to_average, uniform_delays
+
+from bench_telemetry import _git_stamp  # sibling script
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -261,6 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         "smoke": args.smoke,
         "cpus": cpus,
         "python": sys.version.split()[0],
+        **_git_stamp(),
         "executor": executor,
         "engines": engines,
         "sweep": sweep_res,

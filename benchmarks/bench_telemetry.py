@@ -5,25 +5,27 @@ The telemetry layer's core promise is that *not* using it costs
 (essentially) nothing: the greedy executor's one event loop guards each
 recording call with a single test on a local (``timeline is not
 None``), and the dense executor feeds telemetry from its event buckets
-strictly after the timed simulation.  This script measures both sides
-of that promise:
+strictly after the timed simulation.  This script checks both sides of
+that promise:
 
-* **disabled overhead** — the same workload through each engine with
-  ``telemetry=None``, interleaved A/B against a second identical
-  disabled pass; the A/B spread is the noise floor that makes the gate
-  honest (a machine whose identical runs differ by 3% cannot certify
-  a 2% bound, and the gate widens accordingly);
-* **enabled cost** — the same workload with a
-  :class:`~repro.telemetry.timeline.MetricsTimeline` attached, reported
-  for the docs (no gate: enabled runs are opt-in diagnostics);
+* **disabled path** (the gate) — a run with ``telemetry=None`` makes
+  zero Python-level calls into the :mod:`repro.telemetry` package, per
+  engine, counted with :func:`sys.setprofile`.  The count is exact and
+  the same on every machine, so the gate cannot be widened by noise; an
+  enabled run's count is recorded beside it to show the probe sees
+  telemetry calls at all;
+* **wall clock** — the disabled run interleaved A/B against a second
+  identical disabled pass, reported as ``noise_pct`` (no gate: two
+  passes of identical code measure only the machine), and the enabled
+  cost with a :class:`~repro.telemetry.timeline.MetricsTimeline`
+  attached, reported for the docs;
 * **bit-identity** — disabled and enabled runs must produce the same
   stats and value digests for both engines (hard failure otherwise).
 
-The gate: disabled-path wall time within ``--gate-pct`` (default 2%)
-of the interleaved control, per engine, using median-of-``--repeats``
-after a warm-up.  Results go to ``BENCH_telemetry.json``, stamped
-with the git commit they measured (``git_sha``, plus ``git_dirty`` when
-the working tree had uncommitted changes)::
+Walls are median-of-``--repeats`` after a warm-up.  Results go to
+``BENCH_telemetry.json``, stamped with the git commit they measured
+(``git_sha``, plus ``git_dirty`` when the working tree had uncommitted
+changes)::
 
     PYTHONPATH=src python benchmarks/bench_telemetry.py --smoke
 """
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
@@ -50,6 +53,7 @@ from repro.core.executor import GreedyExecutor
 from repro.core.killing import kill_and_label
 from repro.machine.host import HostArray
 from repro.machine.programs import get_program
+import repro.telemetry
 from repro.telemetry import MetricsTimeline
 from repro.topology.delays import scale_to_average, uniform_delays
 
@@ -89,13 +93,37 @@ def _time_variant(cls, setup, steps: int, telemetry_factory) -> float:
     return time.perf_counter() - t0
 
 
-def bench_engine(name: str, n: int, steps: int, repeats: int) -> dict:
-    """Median walls for disabled / interleaved-control / enabled runs.
+_TELEMETRY_DIR = os.path.dirname(repro.telemetry.__file__) + os.sep
 
-    The two disabled variants (A = the gated measurement, B = the
-    control) alternate within each repeat so drift (thermal, caches,
-    another process waking up) lands on both equally instead of biasing
-    whichever ran last.
+
+def telemetry_calls(cls, setup, steps: int, telemetry_factory=None) -> int:
+    """Python-level calls into :mod:`repro.telemetry` made while one
+    run of ``cls`` is constructed and executed (``telemetry_factory``
+    None = the disabled path)."""
+    host, assignment, program = setup
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(_TELEMETRY_DIR):
+            calls += 1
+
+    tl = telemetry_factory() if telemetry_factory else None
+    sys.setprofile(count)
+    try:
+        cls(host, assignment, program, steps, telemetry=tl).run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def bench_engine(name: str, n: int, steps: int, repeats: int) -> dict:
+    """Telemetry call counts, and median walls for disabled /
+    interleaved-control / enabled runs.
+
+    The two disabled variants (A and the control B) alternate within
+    each repeat so drift (thermal, caches, another process waking up)
+    lands on both equally instead of biasing whichever ran last.
     """
     cls = _ENGINES[name]
     host = _bench_host(n, 8)
@@ -134,14 +162,15 @@ def bench_engine(name: str, n: int, steps: int, repeats: int) -> dict:
         "n": n,
         "steps": steps,
         "pebbles": pebbles,
+        "disabled_telemetry_calls": telemetry_calls(cls, setup, steps),
+        "enabled_telemetry_calls": telemetry_calls(
+            cls, setup, steps, MetricsTimeline
+        ),
         "disabled_s": round(disabled_s, 5),
         "control_s": round(control_s, 5),
         "enabled_s": round(enabled_s, 5),
         "disabled_steps_per_sec": round(pebbles / disabled_s, 1),
         "noise_pct": round(100.0 * abs(disabled_s - control_s) / control_s, 2),
-        "disabled_overhead_pct": round(
-            100.0 * (disabled_s - control_s) / control_s, 2
-        ),
         "enabled_overhead_pct": round(
             100.0 * (enabled_s - control_s) / control_s, 2
         ),
@@ -153,12 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true", help="small CI-sized run")
     parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument(
-        "--gate-pct",
-        type=float,
-        default=2.0,
-        help="max disabled-path overhead vs interleaved control (%%)",
-    )
     parser.add_argument(
         "--out",
         default=str(REPO_ROOT / "BENCH_telemetry.json"),
@@ -176,16 +199,21 @@ def main(argv: list[str] | None = None) -> int:
             f"[bench_telemetry] {name}: disabled {rec['disabled_s']}s "
             f"(control {rec['control_s']}s, noise {rec['noise_pct']}%), "
             f"enabled {rec['enabled_s']}s "
-            f"(+{rec['enabled_overhead_pct']}%)"
+            f"(+{rec['enabled_overhead_pct']}%); telemetry calls "
+            f"disabled {rec['disabled_telemetry_calls']}, "
+            f"enabled {rec['enabled_telemetry_calls']}"
         )
-        # The gate cannot be tighter than what the machine can measure:
-        # widen it to the observed A/B noise floor when that is larger.
-        gate = max(args.gate_pct, rec["noise_pct"])
-        if rec["disabled_overhead_pct"] > gate:
+        if rec["disabled_telemetry_calls"]:
             print(
-                f"[bench_telemetry] FAIL: {name} disabled path "
-                f"{rec['disabled_overhead_pct']}% over control "
-                f"(gate {gate}%)",
+                f"[bench_telemetry] FAIL: {name} disabled path made "
+                f"{rec['disabled_telemetry_calls']} calls into repro.telemetry",
+                file=sys.stderr,
+            )
+            failed = True
+        if not rec["enabled_telemetry_calls"]:
+            print(
+                f"[bench_telemetry] FAIL: {name} enabled run made no calls "
+                "into repro.telemetry: the call probe sees nothing",
                 file=sys.stderr,
             )
             failed = True
@@ -193,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     payload = {
         "bench": "telemetry",
         "smoke": args.smoke,
-        "gate_pct": args.gate_pct,
+        "gate": "disabled_telemetry_calls == 0",
         "python": sys.version.split()[0],
         **_git_stamp(),
         "engines": records,

@@ -80,14 +80,12 @@ from repro.core.checkpoint import ExecutorCheckpoint
 from repro.machine.database import Database
 from repro.machine.guest import GuestArray
 from repro.machine.host import HostArray
-from repro.machine.mixing import mix2_v
+from repro.machine.mixing import FOLD_SEED, mix2_v
 from repro.machine.programs import Program
 from repro.netsim.stats import SimStats, latencies_from_completions
 
 #: Engine names accepted by the simulation front-ends.
 ENGINES = ("auto", "dense", "greedy")
-
-_FOLD_SEED = 0x243F6A8885A308D3  # fold_s seed (see repro.machine.mixing)
 
 #: Own-column count above which the ready scan switches to the numpy
 #: path (one vectorised pass over the watermark array).  Below it the
@@ -332,33 +330,44 @@ class DenseExecutor:
         """Same nearest-owner subscription rule (and list order) as
         ``GreedyExecutor._build_state``, racing included: with
         ``fanout > 1`` a column with several owners is *raced* — each
-        subscriber takes its ``fanout`` nearest."""
+        subscriber takes its ``fanout`` nearest.  Owners are ranked by
+        ``(distance, |q - p|, q)``, the distance read off the host's
+        prefix sums."""
         m = self.m
-        host = self.host
+        prefix = self.host.prefix
         owners = self.assignment.owners()
         fanout = self.fanout
+        dep_map = self.dep_map
         subscribers: dict[tuple[int, int], list[int]] = {}
         ext_cols: dict[int, list[int]] = {}
         raced_cols: set[int] = set()
         for p in self.used:
             lo, hi = self.assignment.ranges[p]
-            needed = sorted(
-                {
-                    src
-                    for c in range(lo, hi + 1)
-                    for src in self._deps(c)
-                    if 1 <= src <= m and not (lo <= src <= hi)
-                }
-            )
+            if dep_map is None:
+                # A line range reads outside itself only at its edges.
+                needed = [c for c in (lo - 1, hi + 1) if 1 <= c <= m]
+            else:
+                needed = sorted(
+                    {
+                        src
+                        for c in range(lo, hi + 1)
+                        for src in dep_map[c]
+                        if 1 <= src <= m and not (lo <= src <= hi)
+                    }
+                )
             ext_cols[p] = needed
+            at = prefix[p]
             for c in needed:
                 candidates = owners[c]
-                key = lambda q: (host.distance(p, q), abs(q - p), q)  # noqa: E731
-                if fanout > 1 and len(candidates) > 1:
-                    raced_cols.add(c)
-                    near = sorted(candidates, key=key)[:fanout]
+                if len(candidates) == 1:
+                    near = candidates
                 else:
-                    near = (min(candidates, key=key),)
+                    keys = [(abs(prefix[q] - at), abs(q - p), q) for q in candidates]
+                    if fanout > 1:
+                        raced_cols.add(c)
+                        near = [q for _, _, q in sorted(keys)[:fanout]]
+                    else:
+                        near = (min(keys)[2],)
                 for q in near:
                     subscribers.setdefault((q, c), []).append(p)
         self.subscribers = subscribers
@@ -389,7 +398,7 @@ class DenseExecutor:
             db_digests = mix2_v(
                 np.uint64(_DB_SEED), np.arange(1, m + 1, dtype=np.uint64)
             )
-            folds = np.full(m, np.uint64(_FOLD_SEED), dtype=np.uint64)
+            folds = np.full(m, np.uint64(FOLD_SEED), dtype=np.uint64)
             for t in range(1, T + 1):
                 prev = grid[t - 1]
                 values, updates = prog.compute_row_vec(
@@ -427,7 +436,7 @@ class DenseExecutor:
             and all(1 <= lb <= m for lb in labels)
         ):
             from repro.machine.guest import _DB_SEED
-            from repro.machine.pebbles import initial_value
+            from repro.machine.pebbles import initial_values
 
             lab_idx = np.array(labels, dtype=np.intp) - 1
             lab_u = np.array(labels, dtype=np.uint64)
@@ -439,8 +448,8 @@ class DenseExecutor:
             )
             states = prog.init_state_vec(m)[lab_idx]
             db_digests = mix2_v(np.uint64(_DB_SEED), lab_u)
-            folds = np.full(m, np.uint64(_FOLD_SEED), dtype=np.uint64)
-            prev = np.array([initial_value(lb) for lb in labels], dtype=np.uint64)
+            folds = np.full(m, np.uint64(FOLD_SEED), dtype=np.uint64)
+            prev = initial_values(m)[lab_idx]
             for t in range(1, T + 1):
                 values, updates = prog.compute_row_vec(
                     t, states, prev[dep_l], prev, prev[dep_r]
@@ -474,7 +483,7 @@ class DenseExecutor:
         deps = self._deps
         dbs = [Database(lb, prog.init_state(lb)) for lb in labels]
         row = [initial_value(lb) for lb in labels]
-        folds = [_FOLD_SEED] * m
+        folds = [FOLD_SEED] * m
         for t in range(1, T + 1):
             left_b = boundary_value(BOUNDARY_LEFT, t - 1)
             right_b = boundary_value(BOUNDARY_RIGHT, t - 1)
@@ -570,6 +579,8 @@ class DenseExecutor:
 
         if T == 0 or remaining == 0:
             self._racing_extras(stats, 0, 0, 0)
+            if self.telemetry is not None:
+                self.telemetry.meta.setdefault("engine", "dense")
             return 0
 
         # Directed-link occupancy: the LinkPipe slot rule as three flat

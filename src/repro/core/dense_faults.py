@@ -272,11 +272,12 @@ class FaultedDenseExecutor(DenseExecutor):
             for p in self.used
         ) * T
 
+        if tl is not None:
+            tl.meta.setdefault("engine", "dense")
         if T == 0 or remaining == 0:
             return self._finish_faulted(stats, 0)
 
         if tl is not None:
-            tl.meta.setdefault("engine", "dense")
             if ck is None:
                 tl.spans.begin("epoch", 0, track="epochs", epoch=0)
             else:

@@ -495,9 +495,9 @@ class GreedyExecutor:
         self._epoch = epoch = 0
         self._dead = dead = set()
         self._fault_log = []
-        # A fault-free timeline names its engine even on a zero-step
-        # run; a faulted one, like the faulted dense tier's, stays empty.
-        if tl is not None and not faulty:
+        # Every tier names its engine on the timeline, zero-step runs
+        # included.
+        if tl is not None:
             tl.meta.setdefault("engine", "greedy")
         if faulty:
             stats.faults_injected = len(self.faults.events)
@@ -512,7 +512,6 @@ class GreedyExecutor:
 
         sd = self._step_done = [0] * (T + 1)
         if tl is not None:
-            tl.meta.setdefault("engine", "greedy")
             tl.spans.begin("epoch", 0, track="epochs", epoch=0)
         if faulty:
             for pos, t_crash in sorted(self._fault_tables.crash_times.items()):

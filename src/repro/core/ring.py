@@ -26,7 +26,7 @@ from repro.core.executor import ExecResult
 from repro.lower_bounds.audit import windowed_assignment
 from repro.machine.guest import GuestRing, RingReferenceRun
 from repro.machine.host import HostArray
-from repro.machine.mixing import fold_s
+from repro.machine.mixing import fold_columns_v
 from repro.machine.programs import CounterProgram, Program
 
 
@@ -183,13 +183,15 @@ def verify_ring_execution(
     node_of_col: list[int],
 ) -> int:
     """Check every replica of every folded column against the ring
-    reference (value folds, update digests, final states)."""
+    reference (value folds, update digests, final states), and that
+    every ring node was checked."""
+    ref_folds = fold_columns_v(reference.values[1:]).tolist()
+    ref_update = reference.update_digests.tolist()
+    ref_state = reference.state_digests.tolist()
     checked = 0
-    ref_folds: dict[int, int] = {}
+    covered: set[int] = set()
     for (p, col), digest in result.value_digests.items():
         k = node_of_col[col]
-        if k not in ref_folds:
-            ref_folds[k] = fold_s(int(v) for v in reference.values[1:, k])
         if digest != ref_folds[k]:
             raise AssertionError(
                 f"ring node {k}: pebble values diverge at position {p}"
@@ -197,11 +199,13 @@ def verify_ring_execution(
         replica = result.replicas[(p, col)]
         if replica.version != reference.steps:
             raise AssertionError(f"ring node {k}: wrong update count")
-        if replica.digest != int(reference.update_digests[k]):
+        if replica.digest != ref_update[k]:
             raise AssertionError(f"ring node {k}: update digest diverges")
-        if program.state_digest(replica.state) != int(reference.state_digests[k]):
+        if program.state_digest(replica.state) != ref_state[k]:
             raise AssertionError(f"ring node {k}: final state diverges")
+        covered.add(k)
         checked += 1
-    if checked < result.assignment.m:
-        raise AssertionError("some ring nodes were never verified")
+    missing = [k for k in range(reference.m) if k not in covered]
+    if missing:
+        raise AssertionError(f"ring nodes never verified: {missing[:10]}")
     return checked

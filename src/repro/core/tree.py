@@ -68,16 +68,21 @@ class IntervalTree:
         if n < 1:
             raise ValueError("interval tree needs at least one position")
         self.n = n
+        self._preorder: list[IntervalNode] = []
         self.root = self._build(0, n - 1, 0)
         self._by_depth: list[list[IntervalNode]] = []
-        for node in self.root:
+        for node in self._preorder:
             while len(self._by_depth) <= node.depth:
                 self._by_depth.append([])
             self._by_depth[node.depth].append(node)
         self.height = len(self._by_depth) - 1
+        #: Every node after all of its descendants (reversed pre-order),
+        #: for the bottom-up killing and labelling passes.
+        self.children_first: list[IntervalNode] = self._preorder[::-1]
 
     def _build(self, lo: int, hi: int, depth: int) -> IntervalNode:
         node = IntervalNode(depth, lo, hi)
+        self._preorder.append(node)
         if lo < hi:
             mid = (lo + hi) // 2
             left = self._build(lo, mid, depth + 1)
@@ -94,11 +99,11 @@ class IntervalTree:
 
     def all_nodes(self) -> Iterator[IntervalNode]:
         """Pre-order traversal of the whole tree."""
-        return iter(self.root)
+        return iter(self._preorder)
 
     def leaves(self) -> list[IntervalNode]:
         """Leaves in left-to-right (position) order."""
-        return [node for node in self.root if node.is_leaf]
+        return [node for node in self._preorder if node.is_leaf]
 
     def leaf_at(self, pos: int) -> IntervalNode:
         """The leaf for host position ``pos`` (O(height) descent)."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from repro.core.executor import ExecResult
 from repro.machine.database import check_replica_agreement
 from repro.machine.guest import ReferenceRun
-from repro.machine.mixing import fold_s
+from repro.machine.mixing import fold_columns_v
 from repro.machine.programs import Program
 
 
@@ -29,7 +29,7 @@ class VerificationError(AssertionError):
 
 def reference_column_digest(reference: ReferenceRun, col: int) -> int:
     """Fold of the reference pebble values of ``col`` for ``t=1..T``."""
-    return fold_s(int(v) for v in reference.values[1:, col])
+    return int(fold_columns_v(reference.values[1:, col : col + 1])[0])
 
 
 def verify_execution(
@@ -50,13 +50,18 @@ def verify_execution(
             f"reference m={reference.m}"
         )
 
-    ref_value_digest: dict[int, int] = {}
+    # Every column's reference fold at once (one mix2_v per row); the
+    # per-replica comparisons below stay scalar.
+    m = reference.m
+    ref_value_digest = dict(
+        zip(range(1, m + 1), fold_columns_v(reference.values[1:, 1 : m + 1]).tolist())
+    )
+    ref_update = reference.update_digests.tolist()
+    ref_state = reference.state_digests.tolist()
     checked = 0
     by_column: dict[int, list] = {}
     for (p, c), digest in result.value_digests.items():
-        if c not in ref_value_digest:
-            ref_value_digest[c] = reference_column_digest(reference, c)
-        if digest != ref_value_digest[c]:
+        if digest != ref_value_digest.get(c):
             raise VerificationError(
                 f"pebble values diverge: position {p}, column {c}"
             )
@@ -66,12 +71,12 @@ def verify_execution(
                 f"replica at position {p}, column {c} applied "
                 f"{replica.version} updates, expected {result.steps}"
             )
-        if replica.digest != int(reference.update_digests[c - 1]):
+        if replica.digest != ref_update[c - 1]:
             raise VerificationError(
                 f"update digest diverges: position {p}, column {c}"
             )
         state_digest = program.state_digest(replica.state)
-        if state_digest != int(reference.state_digests[c - 1]):
+        if state_digest != ref_state[c - 1]:
             raise VerificationError(
                 f"final state diverges: position {p}, column {c}"
             )

@@ -22,8 +22,8 @@ from repro.machine.mixing import mix2_v, tag_s
 from repro.machine.pebbles import (
     BOUNDARY_LEFT,
     BOUNDARY_RIGHT,
-    boundary_value,
-    initial_value,
+    boundary_values,
+    initial_values,
 )
 from repro.machine.programs import Program
 
@@ -74,11 +74,9 @@ class GuestArray:
     def boundary_grid(self, steps: int) -> np.ndarray:
         """(T+1, m+2) grid with row 0 and boundary columns pre-filled."""
         grid = np.zeros((steps + 1, self.m + 2), dtype=np.uint64)
-        for i in range(1, self.m + 1):
-            grid[0, i] = initial_value(i)
-        for t in range(steps + 1):
-            grid[t, 0] = boundary_value(BOUNDARY_LEFT, t)
-            grid[t, self.m + 1] = boundary_value(BOUNDARY_RIGHT, t)
+        grid[0, 1 : self.m + 1] = initial_values(self.m)
+        grid[:, 0] = boundary_values(BOUNDARY_LEFT, steps)
+        grid[:, self.m + 1] = boundary_values(BOUNDARY_RIGHT, steps)
         return grid
 
     def run_reference(self, steps: int) -> ReferenceRun:
@@ -177,7 +175,7 @@ class GuestRing:
         if not prog.supports_vector:
             raise NotImplementedError("ring reference needs a vector program")
         grid = np.zeros((steps + 1, m), dtype=np.uint64)
-        grid[0] = [initial_value(i) for i in range(1, m + 1)]
+        grid[0] = initial_values(m)
         states = prog.init_state_vec(m)
         digests = mix2_v(np.uint64(_DB_SEED), np.arange(1, m + 1, dtype=np.uint64))
         for t in range(1, steps + 1):

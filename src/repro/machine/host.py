@@ -66,6 +66,13 @@ class HostArray:
         """Sum of all link delays (``~ n * d_ave``)."""
         return self._prefix[-1]
 
+    @property
+    def prefix(self) -> list[int]:
+        """Cumulative link delay from position 0 to each position, so
+        ``distance(a, b) == abs(prefix[b] - prefix[a])``.  The host's
+        own list: callers must not mutate it."""
+        return self._prefix
+
     def distance(self, a: int, b: int) -> int:
         """Uncontended delay between positions ``a`` and ``b``."""
         lo, hi = (a, b) if a <= b else (b, a)

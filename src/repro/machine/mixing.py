@@ -35,6 +35,7 @@ _M2_U = np.uint64(_M2)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
+_THREE = np.uint64(3)
 
 
 def splitmix_s(x: int) -> int:
@@ -54,10 +55,19 @@ def splitmix_v(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        x = x + _GAMMA_U
-        x = (x ^ (x >> _S30)) * _M1_U
-        x = (x ^ (x >> _S27)) * _M2_U
-        return x ^ (x >> _S31)
+        return _avalanche(x + _GAMMA_U)
+
+
+def _avalanche(x: np.ndarray) -> np.ndarray:
+    """The splitmix64 rounds after the ``+ gamma`` step, computed in
+    place (no temporaries beyond the shifts).  ``x`` must be an array
+    the caller just created, and the caller holds the ``errstate``."""
+    x ^= x >> _S30
+    x *= _M1_U
+    x ^= x >> _S27
+    x *= _M2_U
+    x ^= x >> _S31
+    return x
 
 
 def mix2_s(a: int, b: int) -> int:
@@ -70,7 +80,9 @@ def mix2_v(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return splitmix_v(a * np.uint64(3) + b)
+        x = a * _THREE + b
+        x += _GAMMA_U
+        return _avalanche(x)
 
 
 def mix4_s(a: int, b: int, c: int, d: int) -> int:
@@ -83,11 +95,25 @@ def mix4_v(a, b, c, d) -> np.ndarray:
     return mix2_v(mix2_v(a, b), mix2_v(c, d))
 
 
+FOLD_SEED = 0x243F6A8885A308D3  # pi fractional bits: arbitrary non-zero seed
+
+
 def fold_s(values) -> int:
     """Order-sensitive left fold of an iterable of words (digesting)."""
-    acc = 0x243F6A8885A308D3  # pi fractional bits: arbitrary non-zero seed
+    acc = FOLD_SEED
     for v in values:
         acc = mix2_s(acc, v)
+    return acc
+
+
+def fold_columns_v(grid) -> np.ndarray:
+    """:func:`fold_s` of every column of a 2-D ``uint64`` grid, top row
+    first: one :func:`mix2_v` per row instead of one scalar fold per
+    column.  Returns a ``uint64`` array with one digest per column."""
+    grid = np.asarray(grid, dtype=np.uint64)
+    acc = np.full(grid.shape[1], np.uint64(FOLD_SEED), dtype=np.uint64)
+    for row in grid:
+        acc = mix2_v(acc, row)
     return acc
 
 

@@ -11,7 +11,9 @@ virtual boundary columns whose pebbles are known to the host at time 0
 
 from __future__ import annotations
 
-from repro.machine.mixing import tag_s
+import numpy as np
+
+from repro.machine.mixing import mix2_v, tag_s
 
 BOUNDARY_LEFT = 0xB0
 BOUNDARY_RIGHT = 0xB1
@@ -55,6 +57,12 @@ def initial_value(i: int) -> int:
     return tag_s(0x1417, i)
 
 
+def initial_values(m: int) -> np.ndarray:
+    """Row-0 pebble values of columns ``1..m`` as a ``uint64`` array
+    (``initial_values(m)[i - 1] == initial_value(i)``)."""
+    return mix2_v(np.uint64(tag_s(0x1417)), np.arange(1, m + 1, dtype=np.uint64))
+
+
 def boundary_value(side: int, t: int) -> int:
     """Pebble value of virtual columns 0 / m+1 at step ``t``.
 
@@ -62,6 +70,17 @@ def boundary_value(side: int, t: int) -> int:
     carry no scheduling constraint; they only feed the edge columns'
     computations.
     """
+    _check_side(side)
+    return tag_s(side, t)
+
+
+def boundary_values(side: int, steps: int) -> np.ndarray:
+    """Virtual-column pebble values for ``t = 0..steps`` as a ``uint64``
+    array (``boundary_values(side, T)[t] == boundary_value(side, t)``)."""
+    _check_side(side)
+    return mix2_v(np.uint64(tag_s(side)), np.arange(steps + 1, dtype=np.uint64))
+
+
+def _check_side(side: int) -> None:
     if side not in (BOUNDARY_LEFT, BOUNDARY_RIGHT):
         raise ValueError(f"side must be BOUNDARY_LEFT or BOUNDARY_RIGHT, got {side}")
-    return tag_s(side, t)

@@ -76,3 +76,24 @@ def test_avalanche_flips_many_bits():
 def test_splitmix_vector_shape(n):
     x = np.arange(n, dtype=np.uint64)
     assert mixing.splitmix_v(x).shape == (n,)
+
+
+@given(
+    st.integers(min_value=0, max_value=12).flatmap(
+        lambda rows: st.integers(min_value=0, max_value=6).flatmap(
+            lambda cols: st.lists(
+                st.lists(WORD, min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            ).map(lambda g: (g, cols))
+        )
+    )
+)
+def test_fold_columns_matches_scalar_fold_per_column(grid_cols):
+    grid, cols = grid_cols
+    arr = np.array(grid, dtype=np.uint64).reshape(len(grid), cols)
+    got = mixing.fold_columns_v(arr)
+    assert got.dtype == np.uint64 and got.shape == (cols,)
+    assert got.tolist() == [
+        mixing.fold_s(int(v) for v in arr[:, j]) for j in range(cols)
+    ]

@@ -1,5 +1,6 @@
 """Pebble dependency rule and cones (Figure 1)."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,9 +9,11 @@ from repro.machine.pebbles import (
     BOUNDARY_LEFT,
     BOUNDARY_RIGHT,
     boundary_value,
+    boundary_values,
     cone,
     cone_size,
     initial_value,
+    initial_values,
     parents,
 )
 
@@ -67,3 +70,25 @@ def test_boundary_values_distinct_by_side_and_time():
 def test_boundary_rejects_bad_side():
     with pytest.raises(ValueError):
         boundary_value(123, 1)
+
+
+@given(st.integers(min_value=0, max_value=300))
+def test_initial_values_match_scalar(m):
+    got = initial_values(m)
+    assert got.dtype == np.uint64 and got.shape == (m,)
+    assert got.tolist() == [initial_value(i) for i in range(1, m + 1)]
+
+
+@given(
+    st.sampled_from((BOUNDARY_LEFT, BOUNDARY_RIGHT)),
+    st.integers(min_value=0, max_value=300),
+)
+def test_boundary_values_match_scalar(side, steps):
+    got = boundary_values(side, steps)
+    assert got.dtype == np.uint64 and got.shape == (steps + 1,)
+    assert got.tolist() == [boundary_value(side, t) for t in range(steps + 1)]
+
+
+def test_boundary_values_reject_bad_side():
+    with pytest.raises(ValueError):
+        boundary_values(123, 4)

@@ -8,6 +8,7 @@ from repro.core.ring import (
     ring_dep_map,
     ring_layout,
     simulate_ring,
+    verify_ring_execution,
 )
 from repro.machine.host import HostArray
 from repro.machine.programs import DataflowProgram, TokenProgram
@@ -87,3 +88,69 @@ def test_token_circulates_around_the_ring():
 
     ref_arr = GuestArray(m, TokenProgram()).run_reference(m)
     assert int(ref_ring[m, 0]) != int(ref_arr.values[m, 1])
+
+
+def _good_ring_run(steps=5, copies=2):
+    from repro.machine.guest import GuestRing
+    from repro.machine.programs import CounterProgram
+
+    m = 10
+    res = simulate_ring(
+        HostArray.uniform(10, 3), steps=steps, copies=copies, verify=False
+    )
+    ref = GuestRing(m, CounterProgram()).run_reference_full(steps)
+    _, node_of_col = ring_dep_map(m)
+    return res.exec_result, ref, CounterProgram(), node_of_col
+
+
+def test_ring_verifier_passes_clean_run():
+    result, ref, prog, node_of_col = _good_ring_run()
+    assert verify_ring_execution(result, ref, prog, node_of_col) == len(
+        result.value_digests
+    )
+
+
+def test_ring_verifier_detects_tampered_value_digest():
+    result, ref, prog, node_of_col = _good_ring_run()
+    key = next(iter(result.value_digests))
+    result.value_digests[key] ^= 1
+    with pytest.raises(AssertionError, match="pebble values diverge"):
+        verify_ring_execution(result, ref, prog, node_of_col)
+
+
+def test_ring_verifier_detects_tampered_update_digest():
+    result, ref, prog, node_of_col = _good_ring_run()
+    key = next(iter(result.replicas))
+    result.replicas[key].digest ^= 1
+    with pytest.raises(AssertionError, match="update digest diverges"):
+        verify_ring_execution(result, ref, prog, node_of_col)
+
+
+def test_ring_verifier_detects_final_state_divergence():
+    result, ref, prog, node_of_col = _good_ring_run()
+    key = next(iter(result.replicas))
+    result.replicas[key].state ^= 0xFF
+    with pytest.raises(AssertionError, match="final state diverges"):
+        verify_ring_execution(result, ref, prog, node_of_col)
+
+
+def test_ring_verifier_detects_wrong_update_count():
+    result, ref, prog, node_of_col = _good_ring_run()
+    key = next(iter(result.replicas))
+    result.replicas[key].version -= 1
+    with pytest.raises(AssertionError, match="wrong update count"):
+        verify_ring_execution(result, ref, prog, node_of_col)
+
+
+def test_ring_verifier_detects_unverified_node():
+    # Drop every replica of one ring node: the others still number at
+    # least m replicas (copies=2), so only a per-node coverage check
+    # can notice.
+    result, ref, prog, node_of_col = _good_ring_run()
+    col = next(iter(result.value_digests))[1]
+    for key in [k for k in result.value_digests if k[1] == col]:
+        del result.value_digests[key]
+        del result.replicas[key]
+    assert len(result.value_digests) >= ref.m
+    with pytest.raises(AssertionError, match="never verified"):
+        verify_ring_execution(result, ref, prog, node_of_col)

@@ -206,6 +206,38 @@ class TestReconciliation:
         assert len(tl.spans.named("epoch")) == stats.recoveries + 1
         assert len(tl.spans.named("recovery")) == stats.recoveries
 
+    @pytest.mark.parametrize("engine", ["greedy", "dense"])
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_zero_step_run_names_its_engine(self, engine, faulted):
+        # All four paths -- greedy and dense, fault-free and faulted --
+        # stamp their engine on a run that computes no pebble.
+        from repro.core.assignment import assign_databases
+        from repro.core.dense import DenseExecutor, build_executor
+        from repro.core.dense_faults import FaultedDenseExecutor
+        from repro.core.executor import GreedyExecutor
+        from repro.core.killing import kill_and_label
+        from repro.machine.programs import CounterProgram
+
+        host = _random_host(64, 3.0, seed=1)
+        asg = assign_databases(kill_and_label(host), 2, min_copies=2)
+        tl = MetricsTimeline()
+        ex = build_executor(
+            engine, host, asg, CounterProgram(), 0,
+            faults=_fault_plan(64) if faulted else None, telemetry=tl,
+        )
+        expected = {
+            ("greedy", False): GreedyExecutor,
+            ("greedy", True): GreedyExecutor,
+            ("dense", False): DenseExecutor,
+            ("dense", True): FaultedDenseExecutor,
+        }[engine, faulted]
+        assert type(ex) is expected
+        if type(ex) is FaultedDenseExecutor:
+            assert not ex._fault_tables.is_effect_free
+        res = ex.run()
+        assert res.stats.pebbles == 0
+        assert tl.meta == {"engine": engine}
+
     def test_auto_engine_routes_telemetry(self):
         tl = MetricsTimeline()
         res = _run(_random_host(32, 3.0), steps=8, engine="auto", telemetry=tl)
