@@ -36,11 +36,12 @@ answers "why":
     execution counters against the runner's :class:`SweepProfile`.
 
 Telemetry is strictly opt-in and observational: with no
-:class:`MetricsTimeline` attached, both executors take their pre-existing
-hot paths unchanged (the greedy plain loop and the dense bucket replay
-contain no telemetry branches), and an attached timeline never alters
-event order — results stay bit-identical either way
-(``benchmarks/bench_telemetry.py`` is the overhead gate).
+:class:`MetricsTimeline` attached, the greedy loop skips every
+recording site on one ``is not None`` test and the dense tiers never
+call into this package, and an attached timeline never alters event
+order — results stay bit-identical either way
+(``benchmarks/bench_telemetry.py`` gates that a disabled run makes no
+call into this package).
 """
 
 from repro.telemetry.chrome import chrome_events, to_chrome_trace, write_chrome_trace
